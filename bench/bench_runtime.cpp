@@ -11,14 +11,16 @@
 // A virtual-clock run (quantum = 0) anchors the curve: it is the fastest the
 // executor can go, bounded only by task execution and barrier cost.
 //
-// The second half is the backend faceoff (docs/RUNTIME.md "The steal
-// backend"): the same high-fan-out workload driven through the per-category
-// WorkerPool backend and the work-stealing backend, empty closures so the
-// measured ns/task is pure dispatch machinery.  Rows land in
-// BENCH_runtime.json; the committed baseline floors the steal-vs-pool
-// speedup on the largest configuration (min_speedup_steal_vs_pool,
-// tools/bench_compare.py), which is how CI catches a steal-path regression
-// without flaking on host jitter.
+// The second half is the dispatch faceoff (docs/RUNTIME.md "The steal
+// backend"): the same high-fan-out workload with empty closures, run once
+// through the threaded steal pool and once inline on the executor thread.
+// Both pay the scheduler and the per-quantum bookkeeping; only the steal run
+// pays dispatch (packing, injection, wakeups, the barrier), so the ns/task
+// difference is the dispatch cost per task.  Rows land in
+// BENCH_runtime.json; the committed baseline floors inline_over_steal (the
+// inline/steal wall ratio) on the largest configuration
+// (min_inline_over_steal, tools/bench_compare.py), which is how CI catches
+// a steal-path regression without flaking on host jitter.
 
 #include <algorithm>
 #include <atomic>
@@ -62,12 +64,12 @@ struct FaceoffConfig {
   }
 };
 
-Executor build_faceoff(const FaceoffConfig& config, ExecutorBackend backend) {
+Executor build_faceoff(const FaceoffConfig& config, bool inline_execution) {
   ExecutorOptions options;
   options.record_trace = false;
-  options.backend = backend;
+  options.inline_execution = inline_execution;
   Executor executor(MachineConfig{{16, 16}}, options);
-  Rng rng(7);  // same seed per backend: identical DAGs, identical schedule
+  Rng rng(7);  // same seed per mode: identical DAGs, identical schedule
   for (int i = 0; i < config.jobs; ++i) {
     LayeredParams params;
     params.layers = config.layers;
@@ -82,15 +84,15 @@ Executor build_faceoff(const FaceoffConfig& config, ExecutorBackend backend) {
   return executor;
 }
 
-/// Best-of-`reps` wall seconds for one backend (fresh executor per rep —
-/// a run is single-shot).  Returns {min wall seconds, makespan}.
+/// Best-of-`reps` wall seconds for one mode (fresh executor per rep — a
+/// run is single-shot).  Returns {min wall seconds, makespan}.
 std::pair<double, Time> run_faceoff(const FaceoffConfig& config,
-                                    ExecutorBackend backend, int reps) {
+                                    bool inline_execution, int reps) {
   using krad::bench::check;
   double best = 0.0;
   Time makespan = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    Executor executor = build_faceoff(config, backend);
+    Executor executor = build_faceoff(config, inline_execution);
     KRad scheduler;
     const RuntimeResult r = executor.run(scheduler);
     Work executed = 0;
@@ -199,11 +201,11 @@ int main() {
                "budget; pick the\nshortest quantum whose overhead share is "
                "acceptable — longer only adds staleness.\n";
 
-  // ---- backend faceoff: WorkerPool vs work-stealing, empty closures ----
+  // ---- dispatch faceoff: steal pool vs inline, empty closures ----
   const bool smoke = krad::bench::smoke_mode();
-  print_banner(std::cout, "backend faceoff: per-category pools vs work stealing");
-  Table faceoff({"config", "tasks", "pool_ns/task", "steal_ns/task",
-                 "steal_speedup"});
+  print_banner(std::cout, "dispatch faceoff: steal pool vs inline execution");
+  Table faceoff({"config", "tasks", "steal_ns/task", "inline_ns/task",
+                 "dispatch_ns/task", "inline/steal"});
   krad::bench::JsonReport report("bench_runtime");
   const std::vector<FaceoffConfig> configs =
       smoke ? std::vector<FaceoffConfig>{{"faceoff_large", 1, 10, 128}}
@@ -211,37 +213,39 @@ int main() {
                                          {"faceoff_large", 4, 100, 320}};
   const int reps = smoke ? 1 : 3;
   for (const FaceoffConfig& config : configs) {
-    // Interleaving would not help here: each backend's best-of-reps already
+    // Interleaving would not help here: each mode's best-of-reps already
     // discards one-off noise, and a fresh executor per rep resets all state.
-    const auto [pool_wall, pool_makespan] =
-        run_faceoff(config, ExecutorBackend::kPool, reps);
     const auto [steal_wall, steal_makespan] =
-        run_faceoff(config, ExecutorBackend::kSteal, reps);
-    check(pool_makespan == steal_makespan,
+        run_faceoff(config, /*inline_execution=*/false, reps);
+    const auto [inline_wall, inline_makespan] =
+        run_faceoff(config, /*inline_execution=*/true, reps);
+    check(steal_makespan == inline_makespan,
           std::string(config.label) +
-              ": virtual-clock makespan identical across backends (pool " +
-              std::to_string(pool_makespan) + ", steal " +
-              std::to_string(steal_makespan) + ")");
+              ": virtual-clock makespan identical across modes (steal " +
+              std::to_string(steal_makespan) + ", inline " +
+              std::to_string(inline_makespan) + ")");
     const double tasks = static_cast<double>(config.tasks());
-    const double pool_ns = pool_wall * 1e9 / tasks;
     const double steal_ns = steal_wall * 1e9 / tasks;
-    const double speedup = steal_wall > 0.0 ? pool_wall / steal_wall : 0.0;
+    const double inline_ns = inline_wall * 1e9 / tasks;
+    const double ratio = steal_wall > 0.0 ? inline_wall / steal_wall : 0.0;
     faceoff.row()
         .cell(config.label)
         .cell(static_cast<std::int64_t>(config.tasks()))
-        .cell(pool_ns, 1)
         .cell(steal_ns, 1)
-        .cell(speedup, 3);
+        .cell(inline_ns, 1)
+        .cell(steal_ns - inline_ns, 1)
+        .cell(ratio, 3);
     report.begin_row(config.label);
     report.add("tasks", static_cast<long long>(config.tasks()));
-    report.add("pool_ns_per_task", pool_ns);
     report.add("steal_ns_per_task", steal_ns);
-    report.add("speedup_steal_vs_pool", speedup);
-    report.add("makespan", static_cast<long long>(pool_makespan));
+    report.add("inline_ns_per_task", inline_ns);
+    report.add("dispatch_ns_per_task", steal_ns - inline_ns);
+    report.add("inline_over_steal", ratio);
+    report.add("makespan", static_cast<long long>(steal_makespan));
   }
   faceoff.print(std::cout);
   std::cout << "\nthe committed floor lives in bench/baselines/"
-               "BENCH_runtime.json (min_speedup_steal_vs_pool):\nthe gate "
+               "BENCH_runtime.json (min_inline_over_steal):\nthe gate "
                "catches a steal-path regression, not host jitter — the "
                "measured\nvalues above are informational.\n";
   report.write("BENCH_runtime.json");

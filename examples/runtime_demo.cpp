@@ -2,14 +2,15 @@
 // discrete-time simulator.
 //
 // A 3-category machine (CPU cores, vector units, I/O channels) is realised
-// as three worker pools; jobs are K-DAGs whose vertices carry actual task
-// closures.  Each scheduling quantum the executor collects instantaneous
-// per-category desires, asks the unmodified KScheduler for allotments, and
-// admits at most a(Ji, alpha) ready alpha-tasks per job — the same contract
-// the simulator enforces, now with wall-clock concurrency.
+// as category-tagged worker threads; jobs are K-DAGs whose vertices carry
+// actual task closures.  Each scheduling quantum the executor collects
+// instantaneous per-category desires, asks the unmodified KScheduler for
+// allotments, and admits at most a(Ji, alpha) ready alpha-tasks per job —
+// the same contract the simulator enforces, now with wall-clock
+// concurrency.
 //
 // Demonstrates:
-//   * the quantum loop on worker pools (virtual and wall clocks),
+//   * the quantum loop on worker threads (virtual and wall clocks),
 //   * the recorded live trace passing the Section-2 validator unchanged,
 //   * the a <= d invariant of DEQ-based schedulers on a live run,
 //   * A-GREEDY desire feedback (src/feedback) layered over the executor.
@@ -128,7 +129,7 @@ void report(const char* label, const Executor& executor,
 int main() {
   using namespace krad;
 
-  std::cout << "K-RAD as a live scheduler on threaded worker pools\n"
+  std::cout << "K-RAD as a live scheduler on category-tagged worker threads\n"
             << "machine: 4 CPU + 2 VEC + 2 I/O workers, 9 pipeline/wavefront "
                "jobs, staggered releases\n\n";
 

@@ -8,7 +8,6 @@
 
 #include "fault/injector.hpp"
 #include "runtime/steal_pool.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace krad {
 
@@ -31,17 +30,15 @@ struct RtObs {
   obs::Counter* failed_attempts = nullptr;
   obs::Counter* retries = nullptr;
   obs::Counter* timeouts = nullptr;
-  // Steal-backend counters (zero under kPool / inline execution).
+  // Steal-pool counters (zero under inline execution).
   obs::Counter* steal_tasks = nullptr;
   obs::Counter* steal_failed = nullptr;
   obs::Counter* steal_parks = nullptr;
   obs::Counter* steal_wakes = nullptr;
-  std::vector<obs::Counter*> allotted;    // per category
-  std::vector<obs::Counter*> executed;    // per category
-  std::vector<obs::Gauge*> queue_depth;   // per category pool
-  std::vector<obs::Counter*> pool_tasks;  // per category pool
-  std::vector<obs::Counter*> pool_wakes;  // per category pool
-  std::vector<obs::Gauge*> capacity;      // per category, effective
+  std::vector<obs::Counter*> allotted;   // per category
+  std::vector<obs::Counter*> executed;   // per category
+  std::vector<obs::Gauge*> queue_depth;  // per category, this quantum
+  std::vector<obs::Gauge*> capacity;     // per category, effective
 
   bool metrics_on = false;
   bool on = false;
@@ -87,11 +84,8 @@ struct RtObs {
                                        "task attempts that succeeded"));
       queue_depth.push_back(&reg->gauge(
           "krad_rt_queue_depth", labels,
-          "queued + in-flight tasks in the category pool"));
-      pool_tasks.push_back(&reg->counter("krad_rt_pool_tasks_total", labels,
-                                         "closures executed by the pool"));
-      pool_wakes.push_back(&reg->counter("krad_rt_pool_wakes_total", labels,
-                                         "worker wakeups issued by submit"));
+          "tasks dispatched to the category this quantum, 0 after the "
+          "barrier"));
       capacity.push_back(&reg->gauge("krad_rt_capacity", labels,
                                      "effective processors"));
       capacity.back()->set(machine.processors[a]);
@@ -117,6 +111,22 @@ struct AttemptFailure {
   std::size_t seq = 0;
   FaultKind kind = FaultKind::kTaskFailure;
 };
+
+/// Threaded runs ship every attempt to the steal pool as a 64-bit TaskTag;
+/// throw if `value` overflows the tag field `what` (at most `max`).
+void check_tag_limit(const char* what, std::uint64_t value,
+                     std::uint64_t max) {
+  if (value > max)
+    throw std::logic_error("Executor: threaded execution supports at most " +
+                           std::to_string(max) + " " + what + ", got " +
+                           std::to_string(value) +
+                           " (inline_execution has no such limit)");
+}
+
+void check_vertex_limit(const RuntimeJob& job) {
+  check_tag_limit("vertices per DAG", job.dag().num_vertices(),
+                  TaskTag::kMaxVertex + 1);
+}
 
 std::string limit_message(Time quanta, const std::string& scheduler,
                           const std::vector<JobProgress>& progress) {
@@ -167,6 +177,7 @@ bool Executor::submit_live(std::unique_ptr<RuntimeJob> job,
   if (job == nullptr) throw std::logic_error("Executor: null job");
   if (job->dag().num_categories() != machine_.categories())
     throw std::logic_error("Executor: job / machine category mismatch");
+  if (!options_.inline_execution) check_vertex_limit(*job);
   {
     MutexLock lock(live_->mu);
     if (live_->drain) return false;
@@ -290,33 +301,6 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
   if (degrading) observer.init_capacity(effective);
   const RetryPolicy& retry = options_.retry;
 
-  const bool use_steal = !options_.inline_execution &&
-                         options_.backend == ExecutorBackend::kSteal;
-  std::vector<std::unique_ptr<WorkerPool>> pools;
-  std::unique_ptr<StealPool> steal;
-  if (use_steal) {
-    std::vector<int> workers_per_category(k);
-    for (Category a = 0; a < k; ++a)
-      workers_per_category[a] =
-          options_.threads_per_category != 0
-              ? static_cast<int>(options_.threads_per_category)
-              : machine_.processors[a];
-    steal = std::make_unique<StealPool>(workers_per_category);
-  } else if (!options_.inline_execution) {
-    pools.reserve(k);
-    for (Category a = 0; a < k; ++a) {
-      const std::size_t threads =
-          options_.threads_per_category != 0
-              ? options_.threads_per_category
-              : static_cast<std::size_t>(machine_.processors[a]);
-      pools.push_back(
-          std::make_unique<WorkerPool>(threads, "cat" + std::to_string(a)));
-      if (ro.metrics_on)
-        pools.back()->bind_metrics(ro.queue_depth[a], ro.pool_tasks[a],
-                                   ro.pool_wakes[a]);
-    }
-  }
-
   // Jobs not yet released, by release time (ascending, stable by id) —
   // the same admission order as the simulator.  Live mode has no pre-known
   // releases: submissions stream through the inbox instead.
@@ -359,41 +343,31 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
   Mutex failures_mu;
   std::optional<TaskFailedError> fatal;
 
-  // Steal-backend dispatch state.  steal_vt carries the current virtual
-  // quantum to worker-side trace spans: the executor's store is sequenced
-  // before the batch enqueue, whose mutex/atomic chain synchronizes-with
-  // the worker's take, so relaxed suffices and TSan agrees.
-  std::atomic<std::int64_t> steal_vt{0};  // NOLINT(krad-mutex-raw)
-  std::vector<std::uint64_t> tag_batch;
-  std::vector<VertexId> batch_vertices;
-  if (use_steal) {
-    steal->set_runner([this, &failures, &failures_mu, &steal_vt, fault_mode,
-                       tr = ro.trace, deadline = options_.task_deadline,
-                       run_token = options_.cancellation](const TaskTag& tag) {
-      RuntimeJob* job = jobs_[tag.job].get();
-      if (!fault_mode) {
-        if (tr != nullptr) {
-          const double start = tr->now_us();
-          job->run_closure(tag.vertex, CancellationToken{});
-          tr->complete("task", "rt", start, tr->now_us() - start,
-                       {{"vt", static_cast<double>(
-                                   steal_vt.load(std::memory_order_relaxed))},
-                        {"job", static_cast<double>(tag.job)},
-                        {"vertex", static_cast<double>(tag.vertex)}});
-        } else {
-          job->run_closure(tag.vertex, CancellationToken{});
-        }
-        return;
-      }
-      // Fault mode: mirror the WorkerPool attempt body.  tag.seq indexes
-      // the quantum's pending-attempt vector; outcomes are resolved on the
-      // executor thread after the barrier.
-      const double span_start = tr != nullptr ? tr->now_us() : 0.0;
+  // The one attempt body, run on this thread (inline execution) or by a
+  // steal worker.  current_vt carries the virtual quantum into task spans:
+  // the executor's store is sequenced before the batch enqueue, whose
+  // mutex/atomic chain synchronizes-with the worker's take, so relaxed
+  // suffices and TSan agrees.
+  std::atomic<std::int64_t> current_vt{0};  // NOLINT(krad-mutex-raw)
+  const auto run_attempt = [this, &failures, &failures_mu, &current_vt,
+                            fault_mode, tr = ro.trace,
+                            deadline = options_.task_deadline,
+                            run_token = options_.cancellation](
+                               const TaskTag& tag) {
+    RuntimeJob* job = jobs_[tag.job].get();
+    const double span_start = tr != nullptr ? tr->now_us() : 0.0;
+    bool failed = false;
+    FaultKind kind = FaultKind::kTaskFailure;
+    if (!fault_mode) {
+      // A throwing closure unwinds run() directly (inline) or is captured
+      // and rethrown at the barrier (steal).
+      job->run_closure(tag.vertex, CancellationToken{});
+    } else {
+      // tag.seq indexes the quantum's pending-attempt vector; outcomes are
+      // resolved on the executor thread after the barrier.
       const auto start = SteadyClock::now();
       CancellationToken token = run_token;
       if (deadline) token = token.with_deadline(start + *deadline);
-      bool failed = false;
-      FaultKind kind = FaultKind::kTaskFailure;
       try {
         job->run_closure(tag.vertex, token);
         if (deadline && SteadyClock::now() - start > *deadline) {
@@ -403,19 +377,69 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
       } catch (...) {
         failed = true;
       }
-      if (tr != nullptr)
-        tr->complete("task", "rt", span_start, tr->now_us() - span_start,
-                     {{"vt", static_cast<double>(
-                                 steal_vt.load(std::memory_order_relaxed))},
-                      {"job", static_cast<double>(tag.job)},
-                      {"vertex", static_cast<double>(tag.vertex)},
-                      {"failed", failed ? 1.0 : 0.0}});
-      if (failed) {
-        MutexLock lock(failures_mu);
-        failures.emplace_back(static_cast<std::size_t>(tag.seq), kind);
-      }
-    });
+    }
+    if (tr != nullptr) {
+      obs::NumArgs args{
+          {"vt", static_cast<double>(
+                     current_vt.load(std::memory_order_relaxed))},
+          {"job", static_cast<double>(tag.job)},
+          {"vertex", static_cast<double>(tag.vertex)}};
+      if (fault_mode) args.emplace_back("failed", failed ? 1.0 : 0.0);
+      tr->complete("task", "rt", span_start, tr->now_us() - span_start,
+                   std::move(args));
+    }
+    if (failed) {
+      MutexLock lock(failures_mu);
+      failures.emplace_back(static_cast<std::size_t>(tag.seq), kind);
+    }
+  };
+
+  // Threaded runs: one StealPool, P_alpha workers (or threads_per_category)
+  // serving category alpha.  Declared after everything run_attempt touches,
+  // so an unwinding run joins the workers before that state is destroyed.
+  std::unique_ptr<StealPool> steal;
+  if (!options_.inline_execution) {
+    // Fail fast on the TaskTag bit budget, before any worker starts.  Fault
+    // mode tags each attempt with its admission index in the quantum, and
+    // a quantum admits at most Sum_alpha P_alpha attempts.
+    check_tag_limit("categories", k, TaskTag::kMaxCategory + 1);
+    check_tag_limit("jobs or live slots", n, TaskTag::kMaxJob + 1);
+    for (const auto& job : jobs_)
+      if (job != nullptr) check_vertex_limit(*job);
+    if (fault_mode) {
+      std::uint64_t processors = 0;
+      for (const int p : machine_.processors)
+        processors += static_cast<std::uint64_t>(p);
+      check_tag_limit("attempts per quantum (sum of P_alpha) in fault mode",
+                      processors, TaskTag::kMaxSeq + 1);
+    }
+    std::vector<int> workers_per_category(k);
+    for (Category a = 0; a < k; ++a)
+      workers_per_category[a] =
+          options_.threads_per_category != 0
+              ? static_cast<int>(options_.threads_per_category)
+              : machine_.processors[a];
+    steal = std::make_unique<StealPool>(workers_per_category);
+    steal->set_runner(run_attempt);
   }
+
+  // Dispatch one (job, category) batch of admitted attempts: inline, in
+  // admission order, or as one injection-FIFO push of packed tags.  The
+  // depth gauge is raised first, so a running task always sees its batch.
+  std::vector<TaskTag> batch;
+  std::vector<std::uint64_t> packed;
+  const auto dispatch = [&](Category a) {
+    if (batch.empty()) return;
+    if (ro.metrics_on)
+      ro.queue_depth[a]->add(static_cast<double>(batch.size()));
+    if (steal == nullptr) {
+      for (const TaskTag& tag : batch) run_attempt(tag);
+      return;
+    }
+    packed.clear();
+    for (const TaskTag& tag : batch) packed.push_back(tag.encode());
+    steal->submit_batch(a, packed.data(), packed.size());
+  };
   // Previous flush points for the per-quantum steal-counter deltas.
   std::uint64_t prev_steals = 0, prev_steal_failed = 0, prev_steal_parks = 0,
                 prev_steal_wakes = 0;
@@ -517,7 +541,7 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
       }
     }
     std::sort(active.begin(), active.end());
-    if (use_steal) steal_vt.store(t, std::memory_order_relaxed);
+    current_vt.store(t, std::memory_order_relaxed);
     const auto quantum_begin = SteadyClock::now();
     observer.begin_quantum(t);
 
@@ -620,55 +644,16 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
         RuntimeJob* job = jobs_[id].get();
         for (Category a = 0; a < k; ++a) {
           const Work admit = std::min(allot[j][a], views[j].desire[a]);
-          if (use_steal) {
-            // One injection-FIFO push per (job, category): tasks travel as
-            // packed tags, successor release stays here in admission order
-            // (the determinism contract in runtime_job.hpp).
-            tag_batch.clear();
-            batch_vertices.clear();
-            for (Work i = 0; i < admit; ++i) {
-              const VertexId v = job->pop_ready(a);
-              observer.record_admission(id, a, v);
-              tag_batch.push_back(TaskTag{id, v, 0, a}.encode());
-              batch_vertices.push_back(v);
-            }
-            if (!tag_batch.empty()) {
-              steal->submit_batch(a, tag_batch.data(), tag_batch.size());
-              for (const VertexId v : batch_vertices)
-                job->release_successors(v);
-            }
-          } else {
-            for (Work i = 0; i < admit; ++i) {
-              const VertexId v = job->pop_ready(a);
-              observer.record_admission(id, a, v);
-              if (ro.trace != nullptr) {
-                // Tracing wraps the closure in a span; the fast path below
-                // stays allocation- and branch-free per attempt.
-                auto body = [job, v, id, tr = ro.trace,
-                             vt = static_cast<double>(t)] {
-                  const double start = tr->now_us();
-                  job->run_closure(v, CancellationToken{});
-                  tr->complete("task", "rt", start, tr->now_us() - start,
-                               {{"vt", vt},
-                                {"job", static_cast<double>(id)},
-                                {"vertex", static_cast<double>(v)}});
-                };
-                if (options_.inline_execution)
-                  body();
-                else
-                  pools[a]->submit(std::move(body));
-              } else if (options_.inline_execution) {
-                job->run_closure(v, CancellationToken{});
-              } else {
-                pools[a]->submit(
-                    [job, v] { job->run_closure(v, CancellationToken{}); });
-              }
-              // Executor-side release in admission order; for inline mode
-              // this is sequenced after the closure, so a throwing task
-              // skips it exactly like the old run_task did.
-              job->release_successors(v);
-            }
+          batch.clear();
+          for (Work i = 0; i < admit; ++i) {
+            const VertexId v = job->pop_ready(a);
+            observer.record_admission(id, a, v);
+            batch.push_back(TaskTag{id, v, 0, a});
           }
+          dispatch(a);
+          // Successor release stays on this thread, in admission order (the
+          // determinism contract in runtime_job.hpp).
+          for (const TaskTag& tag : batch) job->release_successors(tag.vertex);
           result.executed_work[a] += admit;
           if (ro.metrics_on) ro.executed[a]->inc(admit);
         }
@@ -689,6 +674,7 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
           // empties the queues (the simulator's execute() likewise finds
           // nothing to pop after an abandon).
           const Work admit = std::min(allot[j][a], job->desire(a));
+          batch.clear();
           for (Work i = 0; i < admit; ++i) {
             const VertexId v = job->pop_ready(a);
             const int attempt = job->register_attempt(v);
@@ -724,63 +710,21 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
               ++result.retries;
               continue;
             }
-            const std::size_t seq = attempts.size();
+            // tag.seq routes the attempt's outcome back to this entry.
+            batch.push_back(TaskTag{
+                id, v, static_cast<std::uint32_t>(attempts.size()), a});
             attempts.emplace_back(id, job, v, a, attempt, proc);
-            if (use_steal) {
-              // tag.seq routes the worker-side outcome back to this
-              // attempt; encode() throws if a quantum somehow admits more
-              // than 2^16 attempts (machines here are orders smaller).
-              const std::uint64_t packed =
-                  TaskTag{id, v, static_cast<std::uint32_t>(seq), a}.encode();
-              steal->submit_batch(a, &packed, 1);
-              continue;
-            }
-            auto body = [job, v, seq, &failures, &failures_mu,
-                         deadline = options_.task_deadline,
-                         run_token = options_.cancellation, tr = ro.trace,
-                         jid = id, vt = static_cast<double>(t)] {
-              const double span_start = tr != nullptr ? tr->now_us() : 0.0;
-              const auto start = SteadyClock::now();
-              CancellationToken token = run_token;
-              if (deadline) token = token.with_deadline(start + *deadline);
-              bool failed = false;
-              FaultKind kind = FaultKind::kTaskFailure;
-              try {
-                job->run_closure(v, token);
-                if (deadline && SteadyClock::now() - start > *deadline) {
-                  failed = true;
-                  kind = FaultKind::kTaskTimeout;
-                }
-              } catch (...) {
-                failed = true;
-              }
-              if (tr != nullptr)
-                tr->complete("task", "rt", span_start,
-                             tr->now_us() - span_start,
-                             {{"vt", vt},
-                              {"job", static_cast<double>(jid)},
-                              {"vertex", static_cast<double>(v)},
-                              {"failed", failed ? 1.0 : 0.0}});
-              if (failed) {
-                MutexLock lock(failures_mu);
-                failures.emplace_back(seq, kind);
-              }
-            };
-            if (options_.inline_execution)
-              body();
-            else
-              pools[a]->submit(std::move(body));
           }
+          dispatch(a);
         }
       }
     }
     // Quantum barrier: every admitted task completes before desires are
     // recomputed, so a quantum behaves like one synchronous unit step.
-    if (use_steal)
-      steal->wait_idle();
-    else if (!options_.inline_execution)
-      for (auto& pool : pools) pool->wait_idle();
+    if (steal != nullptr) steal->wait_idle();
     const auto barrier_end = SteadyClock::now();
+    if (ro.metrics_on)
+      for (Category a = 0; a < k; ++a) ro.queue_depth[a]->set(0);
     if (fatal) throw *fatal;
 
     if (fault_mode) {
@@ -907,7 +851,7 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
       prev_failed = result.failed_attempts;
       prev_retries = result.retries;
       prev_timeouts = result.timeouts;
-      if (use_steal) {
+      if (steal != nullptr) {
         // Flush the pool's lifetime counters as per-quantum deltas, on the
         // executor thread (the counters themselves are relaxed atomics).
         const std::uint64_t s = steal->steals();

@@ -1,6 +1,7 @@
 #pragma once
 // Quantum-based live executor — runs RuntimeJobs (K-DAGs of real task
-// closures) on K worker pools, one per resource category, driven by any
+// closures) on one work-stealing pool whose workers each serve a single
+// resource category (P_alpha workers for category alpha), driven by any
 // unmodified KScheduler (K-RAD, K-DEQ, K-EQUI, clairvoyant baselines, ...).
 //
 // Each quantum — the runtime analogue of the paper's unit step:
@@ -9,8 +10,8 @@
 //      feedback wrapper's A-GREEDY requests) go to the scheduler, which
 //      returns allotments with Sum_i a(Ji, alpha) <= P_alpha;
 //   3. admission control dispatches min(a(Ji, alpha), d(Ji, alpha)) ready
-//      alpha-tasks per job to the alpha pool; the quantum barrier waits for
-//      all of them;
+//      alpha-tasks per job to the alpha workers; the quantum barrier waits
+//      for all of them;
 //   4. newly enabled tasks are promoted, completions recorded, the clock
 //      advances (sleeping out the quantum remainder in wall mode).
 //
@@ -52,17 +53,6 @@ struct LiveCompletion {
   Time response = 0;    ///< completion - release, in quanta (0 if never run)
 };
 
-/// Threaded execution backend (docs/RUNTIME.md "Execution backends").
-enum class ExecutorBackend {
-  /// One WorkerPool (shared FIFO + condvar) per resource category.
-  kPool,
-  /// One StealPool for the whole machine: per-worker Chase-Lev deques with
-  /// category-tagged tasks, steal-half batching, spin-then-park idling.
-  /// Workers only ever pop/steal tasks of the category they serve, so
-  /// functional heterogeneity is preserved under stealing.
-  kSteal,
-};
-
 struct ExecutorOptions {
   ClockMode clock = ClockMode::kVirtual;
   /// Minimum quantum duration in wall mode (ignored in virtual mode).
@@ -70,17 +60,18 @@ struct ExecutorOptions {
   /// Record the full schedule trace (events + per-quantum matrices).
   bool record_trace = true;
   /// Run task closures inline on the executor thread, in admission order,
-  /// instead of dispatching to worker pools.  Fully deterministic: with a
-  /// virtual clock this reproduces sim::simulate step for step.
+  /// instead of dispatching to the work-stealing pool (docs/RUNTIME.md
+  /// "The steal backend").  Both modes reproduce sim::simulate step for
+  /// step under a virtual clock: successor release and trace recording
+  /// happen on the executor thread in admission order, so worker
+  /// completion order is invisible.  Threaded runs ship tasks as 64-bit
+  /// TaskTags, so run() rejects up front (std::logic_error) more than 16
+  /// categories, 2^20 jobs or live slots, 2^24 vertices per DAG, or — in
+  /// fault mode — a machine with Sum_alpha P_alpha > 2^16.
   bool inline_execution = false;
-  /// Worker threads per category pool; 0 = P_alpha (one thread per
-  /// modelled processor, the faithful configuration).
+  /// Worker threads per category; 0 = P_alpha (one thread per modelled
+  /// processor, the faithful configuration).
   unsigned threads_per_category = 0;
-  /// Threaded backend selection; ignored under inline_execution.  Both
-  /// backends are deterministic for virtual-clock runs: successor release
-  /// and trace recording happen on the executor thread in admission order,
-  /// so worker completion order is invisible.
-  ExecutorBackend backend = ExecutorBackend::kPool;
   /// When set, wrap the scheduler in FeedbackScheduler: desires presented
   /// to it are A-GREEDY-style requests instead of true ready counts.
   std::optional<FeedbackParams> feedback;
@@ -142,9 +133,10 @@ struct ExecutorOptions {
   /// Optional observability sinks (must outlive the run).  A metrics
   /// registry receives the krad_rt_* catalog in docs/OBSERVABILITY.md
   /// (quantum / scheduler-latency / barrier wall histograms, per-category
-  /// allotted/executed counters, pool queue depths, fault counters); a
-  /// trace session records quantum and task-attempt spans plus fault
-  /// instants.  Null (default) keeps the quantum loop observation-free.
+  /// allotted/executed counters, per-category queue depths, fault and
+  /// steal counters); a trace session records quantum and task-attempt
+  /// spans plus fault instants.  Null (default) keeps the quantum loop
+  /// observation-free.
   const obs::Observability* obs = nullptr;
 };
 

@@ -26,7 +26,7 @@
 // barrier (promote_enabled), after every dispatched closure completed, so
 // the early release is invisible — and because the release order no longer
 // depends on worker completion order, threaded virtual-clock runs are
-// bit-identical to sim::simulate under both the pool and steal backends
+// bit-identical to sim::simulate, like inline ones
 // (tests/test_runtime_determinism.cpp).
 
 #include <cstdint>

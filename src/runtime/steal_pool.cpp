@@ -82,26 +82,16 @@ void StealPool::submit_batch(Category category, const std::uint64_t* tags,
   submitted_ += count;
   submitted_published_.store(submitted_, std::memory_order_release);
   CategoryQueue& q = *queues_[category];
+  std::size_t to_wake = 0;
   {
+    // Push and notify under one lock: the park predicate (FIFO empty) is
+    // checked under it too, so a parking worker cannot miss this batch.
     MutexLock lock(q.mu);
     for (std::size_t i = 0; i < count; ++i) q.fifo.push_back(tags[i]);
+    to_wake = std::min(q.waiters, count);
+    for (std::size_t i = 0; i < to_wake; ++i) q.cv.notify_one();
   }
-  // One ticket per batch is enough: parked workers sleep on "tickets
-  // unchanged since my pre-scan snapshot".  seq_cst so the bump is globally
-  // ordered against a parking worker's snapshot-then-rescan.
-  q.tickets.fetch_add(1, std::memory_order_seq_cst);
-  const int waiting = q.waiters_approx.load(std::memory_order_acquire);
-  if (waiting > 0) {
-    const std::size_t to_wake =
-        std::min(static_cast<std::size_t>(waiting), count);
-    {
-      // Notify under the lock: a worker between its predicate check and its
-      // cv wait holds mu, so the notify cannot fall into that gap.
-      MutexLock lock(q.mu);
-      for (std::size_t i = 0; i < to_wake; ++i) q.cv.notify_one();
-    }
-    wakes_.fetch_add(to_wake, std::memory_order_relaxed);
-  }
+  if (to_wake > 0) wakes_.fetch_add(to_wake, std::memory_order_relaxed);
 }
 
 void StealPool::submit(const TaskTag& tag) {
@@ -167,18 +157,7 @@ void StealPool::worker_loop(std::size_t index) {
       std::this_thread::yield();
       continue;
     }
-    // Park path: snapshot the ticket, rescan once so a submit that landed
-    // before the snapshot cannot be missed, then sleep until the ticket
-    // moves.  A submit after the snapshot bumps the ticket, so the wait
-    // returns immediately.  (A sibling banking injection work into its own
-    // deque does not bump the ticket; sleeping through that only costs
-    // parallelism for one batch — the sibling still drains it.)
-    const std::uint64_t snapshot = q.tickets.load(std::memory_order_seq_cst);
-    if (run_one(self)) {
-      idle_scans = 0;
-      continue;
-    }
-    park(q, snapshot);
+    park(q);
     idle_scans = 0;
   }
 }
@@ -286,16 +265,15 @@ void StealPool::record_error(std::exception_ptr error) {
   if (!first_error_) first_error_ = std::move(error);
 }
 
-void StealPool::park(CategoryQueue& q, std::uint64_t ticket_snapshot) {
-  parks_.fetch_add(1, std::memory_order_relaxed);
+void StealPool::park(CategoryQueue& q) {
   MutexLock lock(q.mu);
+  // Predicate under mu, the lock submit_batch pushes under (header comment).
+  if (stop_.load(std::memory_order_acquire) || !q.fifo.empty()) return;
+  parks_.fetch_add(1, std::memory_order_relaxed);
   ++q.waiters;
-  q.waiters_approx.store(q.waiters, std::memory_order_release);
-  while (!stop_.load(std::memory_order_acquire) &&
-         q.tickets.load(std::memory_order_seq_cst) == ticket_snapshot)
+  while (!stop_.load(std::memory_order_acquire) && q.fifo.empty())
     q.cv.wait(lock);
   --q.waiters;
-  q.waiters_approx.store(q.waiters, std::memory_order_release);
 }
 
 }  // namespace krad

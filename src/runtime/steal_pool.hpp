@@ -1,6 +1,6 @@
 #pragma once
-// Work-stealing execution backend for the quantum executor
-// (ExecutorBackend::kSteal, docs/RUNTIME.md "The steal backend").
+// The quantum executor's threaded backend (docs/RUNTIME.md "The steal
+// backend").
 //
 // One StealPool serves ALL categories: each worker thread is tagged with
 // the single category it serves (the live analogue of a functionally
@@ -22,11 +22,25 @@
 // siblings) and is re-checked before every task body; a violation is
 // reported through the same first-error channel as a throwing task.
 //
+// Parking (no lost wakeups): a worker parks on the injection FIFO itself —
+// under the category mutex it waits while the FIFO is empty, and
+// submit_batch() pushes and notifies under that same mutex.  The mutex
+// totally orders "worker saw an empty FIFO and slept" against "submitter
+// pushed and notified", so a push either lands before the predicate check
+// (the worker does not sleep) or after the worker is inside cv.wait (the
+// notify reaches it).  An atomic handshake — worker stores "I am waiting"
+// then loads "work available", submitter stores the reverse then loads —
+// is a store->load (Dekker) pattern: without seq_cst on BOTH sides each
+// side may read the other's stale value, and a worker sleeps with tasks in
+// its FIFO; with one worker per category wait_idle() then never returns.
+// Work banked in a sibling's deque needs no wakeup: a worker only parks
+// after its own deque ran dry, so every banked task has an awake owner.
+//
 // Quiescence: the executor's submit counter is published (release) before
 // each batch is enqueued; workers bump a global completion counter
 // (acq_rel) per task and ring the idle condvar when it reaches the
-// published count, so wait_idle() is the same quantum barrier WorkerPool
-// provides, including first-exception capture and rethrow.
+// published count, so wait_idle() is the quantum barrier, including
+// first-exception capture and rethrow.
 //
 // Determinism note: the executor records trace events and releases DAG
 // successors on ITS OWN thread in admission order (runtime_job.hpp);
@@ -103,19 +117,13 @@ class StealPool {
   std::uint64_t wakes() const noexcept;         ///< notifies issued to parked workers
 
  private:
-  /// Injection FIFO + park lot for one category.
+  /// Injection FIFO + park lot for one category (parking protocol in the
+  /// header comment).
   struct CategoryQueue {
     Mutex mu;
     CondVar cv;
     std::deque<std::uint64_t> fifo KRAD_GUARDED_BY(mu);
-    int waiters KRAD_GUARDED_BY(mu) = 0;
-    // Monotonic submit-batch ticket: the park predicate.  A worker
-    // snapshots it, rescans, then sleeps while it is unchanged; the
-    // seq_cst bump in submit_batch orders against the predicate check
-    // under mu.  Mirrored approximate waiter count lets submit skip the
-    // lock when nobody sleeps.
-    std::atomic<std::uint64_t> tickets{0};   // NOLINT(krad-mutex-raw)
-    std::atomic<int> waiters_approx{0};      // NOLINT(krad-mutex-raw)
+    std::size_t waiters KRAD_GUARDED_BY(mu) = 0;
   };
 
   struct Worker {
@@ -131,7 +139,7 @@ class StealPool {
   bool try_steal(Worker& self);
   void execute(const Worker& self, std::uint64_t packed);
   void record_error(std::exception_ptr error);
-  void park(CategoryQueue& queue, std::uint64_t ticket_snapshot);
+  void park(CategoryQueue& queue);
 
   std::string name_;
   std::vector<std::unique_ptr<CategoryQueue>> queues_;  // per category

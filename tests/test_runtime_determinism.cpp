@@ -1,5 +1,5 @@
 // Determinism cross-check: a virtual-clock runtime executor is the SAME
-// machine as the discrete-time simulator — under EVERY execution backend.
+// machine as the discrete-time simulator — inline and threaded alike.
 //
 // For identical job sets (same K-DAGs, FIFO selection, same releases), the
 // same scheduler and the same machine, the executor's per-quantum desires
@@ -8,12 +8,12 @@
 // to the paper's model: whatever the simulator proves about a scheduler
 // transfers to the live quantum loop.
 //
-// Every scenario sweeps three modes: inline (single-threaded), the
-// per-category WorkerPool backend, and the work-stealing StealPool backend.
-// The threaded modes stay bit-identical because successor release and trace
-// recording happen on the executor thread in admission order — worker
-// completion order is invisible (runtime_job.hpp) — and this suite is the
-// proof: it runs under TSan in the runtime-stress CI job.
+// Every scenario sweeps both modes: inline (single-threaded) and the
+// work-stealing StealPool.  The threaded mode stays bit-identical because
+// successor release and trace recording happen on the executor thread in
+// admission order — worker completion order is invisible (runtime_job.hpp)
+// — and this suite is the proof: it runs under TSan in the runtime-stress
+// CI job.
 
 #include <gtest/gtest.h>
 
@@ -42,36 +42,15 @@ struct Workload {
 };
 
 /// Execution modes every determinism scenario sweeps.
-enum class ExecMode { kInline, kPool, kSteal };
-constexpr ExecMode kAllModes[] = {ExecMode::kInline, ExecMode::kPool,
-                                  ExecMode::kSteal};
+enum class ExecMode { kInline, kSteal };
+constexpr ExecMode kAllModes[] = {ExecMode::kInline, ExecMode::kSteal};
 
 const char* mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kInline:
-      return "inline";
-    case ExecMode::kPool:
-      return "pool backend";
-    case ExecMode::kSteal:
-      return "steal backend";
-  }
-  return "?";
+  return mode == ExecMode::kInline ? "inline" : "steal pool";
 }
 
 void apply_mode(ExecutorOptions& options, ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kInline:
-      options.inline_execution = true;
-      break;
-    case ExecMode::kPool:
-      options.inline_execution = false;
-      options.backend = ExecutorBackend::kPool;
-      break;
-    case ExecMode::kSteal:
-      options.inline_execution = false;
-      options.backend = ExecutorBackend::kSteal;
-      break;
-  }
+  options.inline_execution = mode == ExecMode::kInline;
 }
 
 Workload make_workload(std::uint64_t seed, bool staggered) {
@@ -316,7 +295,7 @@ TEST(RuntimeDeterminism, DropJobPolicyMatches) {
 
 TEST(RuntimeDeterminism, FaultyExecutorRunTwiceIsBitIdentical) {
   // Fresh executors, same plan: byte-for-byte identical traces, within a
-  // mode (re-run stability) and across all modes (backend independence).
+  // mode (re-run stability) and across both modes (threading independence).
   const Workload w = make_workload(321, /*staggered=*/false);
   const MachineConfig machine{{3, 2, 2}};
   FaultPlan plan;
