@@ -1,6 +1,5 @@
 #include "fault/faulty_job.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,163 +7,37 @@ namespace krad {
 
 FaultyDagJob::FaultyDagJob(KDag dag, JobId id, const FaultInjector* injector,
                            RetryPolicy policy, std::string name)
-    : dag_(std::move(dag)),
+    : cursor_(std::move(dag)),
       id_(id),
       injector_(injector),
       policy_(policy),
       name_(std::move(name)) {
-  if (!dag_.sealed())
-    throw std::logic_error("FaultyDagJob: dag must be sealed");
   if (policy_.max_attempts < 1)
     throw std::logic_error("FaultyDagJob: max_attempts must be >= 1");
-  reset();
-}
-
-void FaultyDagJob::reset() {
-  ready_.assign(dag_.num_categories(), {});
-  cooling_.clear();
-  newly_enabled_.clear();
-  pending_in_degree_.resize(dag_.num_vertices());
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    pending_in_degree_[v] = dag_.in_degree(v);
-  attempts_.assign(dag_.num_vertices(), 0);
-  remaining_work_.assign(dag_.num_categories(), 0);
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    remaining_work_[a] = dag_.work(a);
-  ready_cp_count_.assign(static_cast<std::size_t>(dag_.span()) + 1, 0);
-  remaining_span_cache_ = 0;
-  executed_ = 0;
-  advances_ = 0;
-  failed_attempts_ = 0;
-  retries_ = 0;
-  outcome_ = JobOutcome::kCompleted;
-  abandoned_ = false;
-  // Sources become ready in vertex-id order, matching RuntimeJob.
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    if (pending_in_degree_[v] == 0) make_ready(v);
-}
-
-void FaultyDagJob::make_ready(VertexId v) {
-  ready_[dag_.category(v)].push_back(v);
-  const auto cp = static_cast<std::size_t>(dag_.cp_length(v));
-  ++ready_cp_count_[cp];
-  if (static_cast<Work>(cp) > remaining_span_cache_)
-    remaining_span_cache_ = static_cast<Work>(cp);
-}
-
-void FaultyDagJob::abandon(JobOutcome outcome) {
-  abandoned_ = true;
-  outcome_ = outcome;
-  for (auto& queue : ready_) queue.clear();
-  cooling_.clear();
-  newly_enabled_.clear();
-  remaining_work_.assign(dag_.num_categories(), 0);
-  ready_cp_count_.assign(ready_cp_count_.size(), 0);
-  remaining_span_cache_ = 0;
-}
-
-Work FaultyDagJob::desire(Category alpha) const {
-  return static_cast<Work>(ready_.at(alpha).size());
 }
 
 Work FaultyDagJob::execute(Category alpha, Work count, TaskSink* sink) {
   if (count < 0) throw std::logic_error("FaultyDagJob::execute: negative count");
-  auto& queue = ready_.at(alpha);
-  Work slots = 0;
   Work done = 0;
-  while (slots < count && !queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    --ready_cp_count_[static_cast<std::size_t>(dag_.cp_length(v))];
-    ++slots;
-    const int attempt = ++attempts_[v];
-    if (injector_ != nullptr && injector_->fails(id_, v, alpha, attempt)) {
-      ++failed_attempts_;
-      if (sink != nullptr)
-        sink->on_fault({FaultKind::kTaskFailure, v, alpha, attempt, 0});
-      if (attempt >= policy_.max_attempts) {
-        switch (policy_.on_exhausted) {
-          case ExhaustionAction::kFailFast:
-            throw TaskFailedError(id_, v, alpha, attempt);
-          case ExhaustionAction::kFailJob:
-            if (sink != nullptr)
-              sink->on_fault({FaultKind::kJobFailed, v, alpha, attempt, 0});
-            abandon(JobOutcome::kFailed);
-            return done;
-          case ExhaustionAction::kDropJob:
-            if (sink != nullptr)
-              sink->on_fault({FaultKind::kJobDropped, v, alpha, attempt, 0});
-            abandon(JobOutcome::kDropped);
-            return done;
-        }
-      }
-      const Time delay = retry_backoff(policy_, attempt);
-      if (sink != nullptr)
-        sink->on_fault({FaultKind::kRetryScheduled, v, alpha, attempt, delay});
-      cooling_.emplace_back(advances_ + 1 + delay, v);
-      ++retries_;
+  for (Work slots = 0; slots < count && cursor_.ready(alpha) > 0; ++slots) {
+    const VertexId v = cursor_.pop(alpha);
+    const int attempt = cursor_.attempt(v);
+    if (injector_ == nullptr || !injector_->fails(id_, v, alpha, attempt)) {
+      cursor_.complete(v);
+      if (sink != nullptr) sink->on_task(v, alpha);
+      ++done;
       continue;
     }
-    for (VertexId succ : dag_.successors(v))
-      if (--pending_in_degree_[succ] == 0) newly_enabled_.push_back(succ);
-    ++executed_;
-    --remaining_work_[alpha];
-    if (sink != nullptr) sink->on_task(v, alpha);
-    ++done;
+    ++failed_attempts_;
+    if (sink != nullptr)
+      sink->on_fault({FaultKind::kTaskFailure, v, alpha, attempt, 0});
+    const auto notice = settle_failure(cursor_, policy_, v, alpha, attempt);
+    if (!notice) throw TaskFailedError(id_, v, alpha, attempt);
+    if (sink != nullptr) sink->on_fault(*notice);
+    if (notice->kind != FaultKind::kRetryScheduled) break;  // abandoned
+    ++retries_;
   }
   return done;
-}
-
-void FaultyDagJob::advance() {
-  ++advances_;
-  for (VertexId v : newly_enabled_) make_ready(v);
-  newly_enabled_.clear();
-  // Promote retries whose backoff expired, preserving failure order.
-  std::size_t kept = 0;
-  for (const PendingRetry& retry : cooling_) {
-    if (retry.due_advances <= advances_)
-      make_ready(retry.vertex);
-    else
-      cooling_[kept++] = retry;
-  }
-  cooling_.resize(kept);
-}
-
-bool FaultyDagJob::finished() const {
-  return abandoned_ || executed_ == static_cast<Work>(dag_.num_vertices());
-}
-
-Work FaultyDagJob::remaining_span() const {
-  auto& cache = const_cast<FaultyDagJob*>(this)->remaining_span_cache_;
-  while (cache > 0 && ready_cp_count_[static_cast<std::size_t>(cache)] == 0)
-    --cache;
-  return cache;
-}
-
-Work FaultyDagJob::remaining_work(Category alpha) const {
-  return remaining_work_.at(alpha);
-}
-
-Time FaultyDagJob::steady_window(std::span<const Work> allot) const {
-  if (!cooling_.empty()) return 1;  // a backoff expiry changes desires
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    if (std::min(allot[a], static_cast<Work>(ready_[a].size())) > 0)
-      return 1;  // executing work may fail; never coalesce fault steps
-  return kForeverSteady;
-}
-
-void FaultyDagJob::run_steady(std::span<const Work> allot, Time steps) {
-  if (steps <= 0) return;
-  Work total_exec = 0;
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    total_exec += std::min(allot[a], static_cast<Work>(ready_[a].size()));
-  if (total_exec == 0 && cooling_.empty()) {
-    // The loop would only tick the advance counter; newly_enabled_ is
-    // empty between steps, so this is the whole state change.
-    advances_ += steps;
-    return;
-  }
-  Job::run_steady(allot, steps);
 }
 
 JobId add_faulty(JobSet& set, KDag dag, const FaultInjector* injector,

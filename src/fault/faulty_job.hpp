@@ -1,45 +1,24 @@
 #pragma once
-// DAG-backed simulator job with fault injection and retries — the
-// discrete-time twin of the fault-aware runtime executor loop.
-//
-// Semantics (shared verbatim with the executor, which is what makes a
-// seeded FaultPlan replay bit-identically across backends):
-//   * ready alpha-tasks are kept FIFO per category (RuntimeJob order);
-//   * each execution slot consumes one attempt: the injector decides
-//     pass/fail from the (job, vertex, attempt) triple alone;
-//   * a failed attempt still occupies its processor for the step (the sink
-//     is told via on_fault so traces account for the slot), but successors
-//     are NOT released and the vertex re-enters the ready set only after
-//     retry_backoff(policy, attempt) further steps;
-//   * promotion order at each advance(): tasks enabled this step first (in
-//     execution order), then retries whose backoff expired (in failure
-//     order);
-//   * on the last allowed attempt the policy's ExhaustionAction applies:
-//     kFailFast throws TaskFailedError out of sim::simulate, kFailJob /
-//     kDropJob abandon the job (outcome() reports which) and the run
-//     continues.
-//
-// With a null injector the job degrades to exactly DagJob with
-// SelectionPolicy::kFifo.
+// DAG-backed simulator job with fault injection and retries: the
+// discrete-time twin of the fault-aware executor loop, on the same FIFO
+// DagCursor as RuntimeJob.  Each execution slot consumes one attempt, and
+// the injector decides pass/fail from the (job, vertex, attempt) triple
+// alone.  A failed attempt still occupies its processor for the step (the
+// sink hears of it through on_fault), releases no successors, and is
+// settled by settle_failure(): requeued for retry_backoff() steps, or the
+// job is abandoned (kFailJob / kDropJob), or TaskFailedError is thrown out
+// of sim::simulate (kFailFast).  With a null injector the job behaves
+// exactly like DagJob with SelectionPolicy::kFifo.
 
-#include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
-#include "dag/kdag.hpp"
 #include "fault/injector.hpp"
 #include "fault/retry.hpp"
-#include "jobs/job.hpp"
+#include "jobs/dag_cursor.hpp"
 #include "jobs/job_set.hpp"
 
 namespace krad {
 
-/// DAG job whose task attempts can fail and retry — the simulator-side
-/// realisation of a FaultPlan (the Executor implements the same semantics
-/// natively for RuntimeJob).  Reports incidents to the engine through
-/// TaskSink::on_fault so traces account for burned slots, and exposes the
-/// per-job failed_attempts()/retries() tallies that SimResult aggregates.
 class FaultyDagJob final : public Job {
  public:
   /// `id` must be the job's position in its JobSet (the injector keys
@@ -48,64 +27,46 @@ class FaultyDagJob final : public Job {
   FaultyDagJob(KDag dag, JobId id, const FaultInjector* injector,
                RetryPolicy policy, std::string name = "faulty-job");
 
-  Work desire(Category alpha) const override;
+  Work desire(Category alpha) const override { return cursor_.ready(alpha); }
   Work execute(Category alpha, Work count, TaskSink* sink) override;
-  void advance() override;
-  bool finished() const override;
-  /// Steady windows (sparse engine): any step that executes work may fail
-  /// and fork the state, so the window is 1 unless nothing executes AND no
-  /// retry is cooling down — then only the advance counter moves and the
-  /// job is steady forever (run_steady bulk-advances the counter).
-  Time steady_window(std::span<const Work> allot) const override;
-  void run_steady(std::span<const Work> allot, Time steps) override;
-  JobOutcome outcome() const override { return outcome_; }
-  bool try_reset() override {
-    reset();
-    return true;
+  void advance() override { cursor_.advance(); }
+  bool finished() const override { return cursor_.finished(); }
+  /// Any step that executes work may fail and fork the state, so the
+  /// window is 1 unless the cursor is frozen.
+  Time steady_window(std::span<const Work> allot) const override {
+    return cursor_.frozen(allot) ? kForeverSteady : 1;
+  }
+  void run_steady(std::span<const Work> allot, Time steps) override {
+    if (!cursor_.frozen(allot)) Job::run_steady(allot, steps);
+  }
+  JobOutcome outcome() const override { return cursor_.outcome(); }
+  void reset() override {
+    cursor_.reset();
+    failed_attempts_ = retries_ = 0;
   }
 
-  Work work(Category alpha) const override { return dag_.work(alpha); }
-  Work span() const override { return dag_.span(); }
-  Work remaining_span() const override;
-  Work remaining_work(Category alpha) const override;
-  Category num_categories() const override { return dag_.num_categories(); }
+  Work work(Category alpha) const override { return dag().work(alpha); }
+  Work span() const override { return dag().span(); }
+  Work remaining_span() const override { return cursor_.remaining_span(); }
+  Work remaining_work(Category alpha) const override {
+    return cursor_.remaining_work(alpha);
+  }
+  Category num_categories() const override { return dag().num_categories(); }
   std::string name() const override { return name_; }
 
-  const KDag& dag() const noexcept { return dag_; }
+  const KDag& dag() const noexcept { return cursor_.dag(); }
+  /// Per-job tallies that SimResult aggregates.
   Work failed_attempts() const noexcept { return failed_attempts_; }
   Work retries() const noexcept { return retries_; }
 
-  void reset();
-
  private:
-  struct PendingRetry {
-    Time due_advances;  ///< ready again once advances_ reaches this
-    VertexId vertex;
-  };
-
-  void make_ready(VertexId v);
-  void abandon(JobOutcome outcome);
-
-  KDag dag_;
+  DagCursor cursor_;
   JobId id_;
   const FaultInjector* injector_;
   RetryPolicy policy_;
   std::string name_;
-
-  std::vector<std::deque<VertexId>> ready_;  // per category, FIFO
-  std::vector<PendingRetry> cooling_;        // in failure order
-  std::vector<VertexId> newly_enabled_;
-  std::vector<std::size_t> pending_in_degree_;
-  std::vector<int> attempts_;
-  std::vector<Work> remaining_work_;
-  std::vector<Work> ready_cp_count_;
-  Work remaining_span_cache_ = 0;
-  Work executed_ = 0;
-  Time advances_ = 0;
   Work failed_attempts_ = 0;
   Work retries_ = 0;
-  JobOutcome outcome_ = JobOutcome::kCompleted;
-  bool abandoned_ = false;
 };
 
 /// Append a FaultyDagJob to `set`, deriving the injector JobId from the

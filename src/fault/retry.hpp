@@ -7,10 +7,12 @@
 // terminally fail the job, or drop the job and let the rest of the run
 // continue.
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "dag/types.hpp"
+#include "jobs/job.hpp"
 
 namespace krad {
 
@@ -51,6 +53,30 @@ inline Time retry_backoff(const RetryPolicy& policy, int attempt) noexcept {
   const int shift = attempt > 1 ? (attempt - 1 < 40 ? attempt - 1 : 40) : 0;
   const Time backoff = policy.backoff_base << shift;
   return backoff < policy.backoff_cap ? backoff : policy.backoff_cap;
+}
+
+/// Settle a failed `attempt` of vertex v: the one retry decision both
+/// backends share.  Below the attempt budget v is requeued after its
+/// backoff; at the budget kFailJob / kDropJob abandon the job.  `job` is
+/// anything with requeue(v, backoff) and abandon(outcome): a DagCursor or a
+/// RuntimeJob.  Returns the notice to report (kRetryScheduled, kJobFailed or
+/// kJobDropped), or nothing under kFailFast, where the caller throws
+/// TaskFailedError once it is safe to unwind.
+template <class DagJobState>
+std::optional<FaultNotice> settle_failure(DagJobState& job,
+                                          const RetryPolicy& policy,
+                                          VertexId v, Category alpha,
+                                          int attempt) {
+  if (attempt < policy.max_attempts) {
+    const Time delay = retry_backoff(policy, attempt);
+    job.requeue(v, delay);
+    return FaultNotice{FaultKind::kRetryScheduled, v, alpha, attempt, delay};
+  }
+  if (policy.on_exhausted == ExhaustionAction::kFailFast) return std::nullopt;
+  const bool fail = policy.on_exhausted == ExhaustionAction::kFailJob;
+  job.abandon(fail ? JobOutcome::kFailed : JobOutcome::kDropped);
+  return FaultNotice{fail ? FaultKind::kJobFailed : FaultKind::kJobDropped, v,
+                     alpha, attempt, 0};
 }
 
 /// Thrown (by both backends) when a task exhausts its attempts under

@@ -1,159 +1,35 @@
 #include "jobs/dag_job.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace krad {
 
-const char* to_string(SelectionPolicy policy) {
-  switch (policy) {
-    case SelectionPolicy::kFifo: return "fifo";
-    case SelectionPolicy::kLifo: return "lifo";
-    case SelectionPolicy::kCriticalPathFirst: return "cp-first";
-    case SelectionPolicy::kCriticalPathLast: return "cp-last";
-    case SelectionPolicy::kRandom: return "random";
-  }
-  return "?";
-}
-
 DagJob::DagJob(KDag dag, SelectionPolicy policy, std::string name,
                std::uint64_t seed)
-    : dag_(std::move(dag)),
-      policy_(policy),
-      name_(std::move(name)),
-      rng_(seed),
-      seed_(seed) {
-  if (!dag_.sealed()) throw std::logic_error("DagJob: dag must be sealed");
-  reset();
-}
-
-void DagJob::reset() {
-  rng_.reseed(seed_);
-  ready_.assign(dag_.num_categories(), {});
-  ready_cp_max_count_.assign(static_cast<std::size_t>(dag_.span()) + 1, 0);
-  pending_in_degree_.resize(dag_.num_vertices());
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    pending_in_degree_[v] = dag_.in_degree(v);
-  newly_enabled_.clear();
-  remaining_work_.assign(dag_.num_categories(), 0);
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    remaining_work_[a] = dag_.work(a);
-  executed_ = 0;
-  arrival_seq_ = 0;
-  remaining_span_cache_ = 0;
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    if (pending_in_degree_[v] == 0) make_ready(v);
-}
-
-std::int64_t DagJob::priority_of(VertexId v) {
-  switch (policy_) {
-    case SelectionPolicy::kFifo:
-      return -static_cast<std::int64_t>(arrival_seq_);
-    case SelectionPolicy::kLifo:
-      return static_cast<std::int64_t>(arrival_seq_);
-    case SelectionPolicy::kCriticalPathFirst:
-      return dag_.cp_length(v);
-    case SelectionPolicy::kCriticalPathLast:
-      return -dag_.cp_length(v);
-    case SelectionPolicy::kRandom:
-      return static_cast<std::int64_t>(rng_() >> 1);
-  }
-  return 0;
-}
-
-void DagJob::make_ready(VertexId v) {
-  const Category cat = dag_.category(v);
-  ready_[cat].push(Entry{priority_of(v), arrival_seq_++, v});
-  const auto cp = static_cast<std::size_t>(dag_.cp_length(v));
-  ++ready_cp_max_count_[cp];
-  if (static_cast<Work>(cp) > remaining_span_cache_)
-    remaining_span_cache_ = static_cast<Work>(cp);
-}
-
-Work DagJob::desire(Category alpha) const {
-  return static_cast<Work>(ready_.at(alpha).size());
-}
+    : cursor_(std::move(dag), policy, seed), name_(std::move(name)) {}
 
 Work DagJob::execute(Category alpha, Work count, TaskSink* sink) {
   if (count < 0) throw std::logic_error("DagJob::execute: negative count");
-  auto& queue = ready_.at(alpha);
   Work done = 0;
-  while (done < count && !queue.empty()) {
-    const Entry entry = queue.top();
-    queue.pop();
-    --ready_cp_max_count_[static_cast<std::size_t>(dag_.cp_length(entry.vertex))];
-    for (VertexId succ : dag_.successors(entry.vertex)) {
-      if (--pending_in_degree_[succ] == 0) newly_enabled_.push_back(succ);
-    }
-    ++executed_;
-    --remaining_work_[alpha];
-    if (sink != nullptr) sink->on_task(entry.vertex, alpha);
-    ++done;
+  for (; done < count && cursor_.ready(alpha) > 0; ++done) {
+    const VertexId v = cursor_.pop(alpha);
+    cursor_.complete(v);
+    if (sink != nullptr) sink->on_task(v, alpha);
   }
   return done;
 }
 
-void DagJob::advance() {
-  for (VertexId v : newly_enabled_) make_ready(v);
-  newly_enabled_.clear();
-}
-
-bool DagJob::finished() const {
-  return executed_ == static_cast<Work>(dag_.num_vertices());
-}
-
-Work DagJob::remaining_span() const {
-  // Remaining span equals the maximum static cp_length over ready vertices:
-  // every unexecuted vertex has a ready ancestor (or is ready), and all
-  // descendants of a ready vertex are unexecuted, so the longest remaining
-  // chain starts at some ready vertex.  Lazily walk the histogram down.
-  auto& cache = const_cast<DagJob*>(this)->remaining_span_cache_;
-  while (cache > 0 &&
-         ready_cp_max_count_[static_cast<std::size_t>(cache)] == 0)
-    --cache;
-  return cache;
-}
-
-Work DagJob::remaining_work(Category alpha) const {
-  return remaining_work_.at(alpha);
-}
-
 Time DagJob::steady_window(std::span<const Work> allot) const {
-  Work total_ready = 0;
-  Work total_exec = 0;
-  Category exec_cat = 0;
-  for (Category a = 0; a < dag_.num_categories(); ++a) {
-    const auto ready = static_cast<Work>(ready_[a].size());
-    total_ready += ready;
-    const Work x = std::min(allot[a], ready);
-    if (x > 0) {
-      total_exec += x;
-      exec_cat = a;
-    }
-  }
-  // Nothing executes: desires and ready heaps are untouched and advance()
-  // is a no-op (newly_enabled_ is empty between steps), so the state is
-  // frozen until the allotment changes.
-  if (total_exec == 0) return kForeverSteady;
+  // Nothing executes: the state is frozen until the allotment changes.
+  if (cursor_.frozen(allot)) return kForeverSteady;
   // One ready vertex in the whole job, and it gets a processor: each step
   // retires the head of a straight-line run and readies the next link, so
   // the desire vector is constant for the run's length.
-  if (total_ready == 1 && total_exec == 1)
-    return dag_.run_length(ready_[exec_cat].top().vertex);
-  return 1;
-}
-
-void DagJob::run_steady(std::span<const Work> allot, Time steps) {
-  Work total_exec = 0;
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    total_exec +=
-        std::min(allot[a], static_cast<Work>(ready_[a].size()));
-  if (total_exec == 0) return;  // frozen window: nothing to replay
-  // Chain runs replay the per-step loop so the selection policy's state
-  // (arrival order, RNG draws for kRandom) stays bit-identical with the
-  // dense engine; the engine-side savings (no view rebuild, no allot call)
-  // already happened.
-  Job::run_steady(allot, steps);
+  if (total_desire() != 1) return 1;
+  Category alpha = 0;
+  while (cursor_.ready(alpha) == 0) ++alpha;
+  return dag().run_length(cursor_.front(alpha));
 }
 
 }  // namespace krad

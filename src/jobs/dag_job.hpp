@@ -1,32 +1,15 @@
 #pragma once
-// Job backed by an explicit K-DAG, with a pluggable ready-task selection
-// policy.
-//
-// Schedulers only ever choose *how many* alpha-tasks of a job run in a step;
-// the job itself decides *which* ready tasks those are.  The selection policy
-// is therefore the lever the paper's adversary pulls (Theorem 1: "tasks on
-// the critical path are always executed last among the ready tasks") and the
-// lever the clairvoyant optimum pulls in the other direction.
+// Job backed by an explicit K-DAG: a DagCursor (ready sets under a
+// SelectionPolicy, successor release, remaining work and span) behind the
+// simulator's Job interface, plus steady windows for the sparse engine.
 
 #include <cstdint>
-#include <queue>
-#include <vector>
+#include <string>
 
-#include "dag/kdag.hpp"
+#include "jobs/dag_cursor.hpp"
 #include "jobs/job.hpp"
-#include "util/rng.hpp"
 
 namespace krad {
-
-enum class SelectionPolicy {
-  kFifo,               ///< ready order (arrival into the ready set)
-  kLifo,               ///< newest ready first
-  kCriticalPathFirst,  ///< largest remaining critical path first (OPT-friendly)
-  kCriticalPathLast,   ///< smallest remaining critical path first (adversary)
-  kRandom,             ///< uniformly random among ready (seeded)
-};
-
-const char* to_string(SelectionPolicy policy);
 
 class DagJob final : public Job {
  public:
@@ -34,63 +17,39 @@ class DagJob final : public Job {
   DagJob(KDag dag, SelectionPolicy policy = SelectionPolicy::kFifo,
          std::string name = "dag-job", std::uint64_t seed = 1);
 
-  Work desire(Category alpha) const override;
+  Work desire(Category alpha) const override { return cursor_.ready(alpha); }
   Work execute(Category alpha, Work count, TaskSink* sink) override;
-  void advance() override;
-  bool finished() const override;
+  void advance() override { cursor_.advance(); }
+  bool finished() const override { return cursor_.finished(); }
+  void reset() override { cursor_.reset(); }
 
   /// Steady windows for the sparse engine: kForeverSteady when the
-  /// allotment executes nothing (a deprived job is frozen until the
-  /// scheduler changes its mind), dag().run_length(v) when the single ready
-  /// vertex v heads a straight-line same-category run, else 1.
+  /// allotment executes nothing (the cursor is frozen), dag().run_length(v)
+  /// when the single ready vertex v heads a same-category chain, else 1.
   Time steady_window(std::span<const Work> allot) const override;
-  void run_steady(std::span<const Work> allot, Time steps) override;
+  /// Chain windows replay the per-step loop, so the policy's state (arrival
+  /// order, kRandom draws) matches the dense engine bit for bit; the engine
+  /// already saved the view rebuilds and allot calls.
+  void run_steady(std::span<const Work> allot, Time steps) override {
+    if (!cursor_.frozen(allot)) Job::run_steady(allot, steps);
+  }
 
-  Work work(Category alpha) const override { return dag_.work(alpha); }
-  Work span() const override { return dag_.span(); }
-  Work remaining_span() const override;
-  Work remaining_work(Category alpha) const override;
-  Category num_categories() const override { return dag_.num_categories(); }
+  Work work(Category alpha) const override { return dag().work(alpha); }
+  Work span() const override { return dag().span(); }
+  Work remaining_span() const override { return cursor_.remaining_span(); }
+  Work remaining_work(Category alpha) const override {
+    return cursor_.remaining_work(alpha);
+  }
+  Category num_categories() const override { return dag().num_categories(); }
   std::string name() const override { return name_; }
 
-  const KDag& dag() const noexcept { return dag_; }
-  SelectionPolicy policy() const noexcept { return policy_; }
-  Work executed_count() const noexcept { return executed_; }
-
-  /// Restore the job to its initial (nothing executed) state, e.g. to rerun
-  /// the same job set under a different scheduler.
-  void reset();
+  const KDag& dag() const noexcept { return cursor_.dag(); }
+  SelectionPolicy policy() const noexcept { return cursor_.policy(); }
+  Work executed_count() const noexcept { return cursor_.completed(); }
 
  private:
-  // Ready alpha-tasks live in a per-category max-heap ordered by a
-  // policy-derived priority (higher = executed earlier).
-  struct Entry {
-    std::int64_t priority;
-    std::uint64_t tiebreak;  // lower breaks ties first
-    VertexId vertex;
-    bool operator<(const Entry& other) const noexcept {
-      if (priority != other.priority) return priority < other.priority;
-      return tiebreak > other.tiebreak;  // smaller tiebreak = higher priority
-    }
-  };
-
-  void make_ready(VertexId v);
-  std::int64_t priority_of(VertexId v);
-
-  KDag dag_;
-  SelectionPolicy policy_;
+  DagCursor cursor_;
   std::string name_;
-  Rng rng_;
-  std::uint64_t seed_;
-
-  std::vector<std::priority_queue<Entry>> ready_;  // per category
-  std::vector<Work> ready_cp_max_count_;  // histogram of cp values among ready
-  std::vector<std::size_t> pending_in_degree_;
-  std::vector<VertexId> newly_enabled_;
-  std::vector<Work> remaining_work_;
-  Work executed_ = 0;
-  std::uint64_t arrival_seq_ = 0;
-  Work remaining_span_cache_ = 0;
 };
 
 }  // namespace krad

@@ -101,9 +101,8 @@ class Job {
   /// abandoned the job (FaultyDagJob, runtime executor).
   virtual JobOutcome outcome() const { return JobOutcome::kCompleted; }
 
-  /// Restore the job to its initial state for a rerun; return false if the
-  /// job type does not support it (JobSet::reset_all then throws).
-  virtual bool try_reset() { return false; }
+  /// Restore the job to its initial state for a rerun.
+  virtual void reset() = 0;
 
   // --- steady-state contract (event-driven engine, docs/SIMULATOR.md) ---
   //

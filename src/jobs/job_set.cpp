@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "jobs/profile_job.hpp"
-#include "jobs/unfolding_job.hpp"
-
 namespace krad {
 
 JobId JobSet::add(JobPtr job, Time release) {
@@ -56,17 +53,7 @@ std::vector<Work> JobSet::works(Category alpha) const {
 }
 
 void JobSet::reset_all() {
-  for (auto& job : jobs_) {
-    if (auto* dag_job = dynamic_cast<DagJob*>(job.get())) {
-      dag_job->reset();
-    } else if (auto* profile_job = dynamic_cast<ProfileJob*>(job.get())) {
-      profile_job->reset();
-    } else if (auto* unfolding_job = dynamic_cast<UnfoldingJob*>(job.get())) {
-      unfolding_job->reset();
-    } else if (!job->try_reset()) {
-      throw std::logic_error("JobSet::reset_all: job type is not resettable");
-    }
-  }
+  for (auto& job : jobs_) job->reset();
 }
 
 }  // namespace krad

@@ -47,8 +47,7 @@ class JobSet {
   /// Per-job alpha-works, in job order (input to squashed-area bounds).
   std::vector<Work> works(Category alpha) const;
 
-  /// Reset all resettable jobs (DagJob / ProfileJob) to rerun the set under
-  /// another scheduler.  Throws if a job type is not resettable.
+  /// Reset every job to rerun the set under another scheduler.
   void reset_all();
 
  private:

@@ -70,7 +70,7 @@ class ProfileJob final : public Job {
   /// ("phase cat:work:par ...\n" per phase); see workload/spec.hpp.
   std::string describe_phases() const;
 
-  void reset();
+  void reset() override;
 
  private:
   bool phase_done() const noexcept;

@@ -64,7 +64,7 @@ class UnfoldingJob final : public Job {
   Work total_spawned() const noexcept { return total_spawned_; }
   Work depth_limit() const noexcept { return max_depth_; }
 
-  void reset();
+  void reset() override;
 
  private:
   struct Task {

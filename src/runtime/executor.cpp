@@ -578,6 +578,13 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
              {"retry_delay", static_cast<double>(event.retry_delay)}});
       observer.record_fault(std::move(event));
     };
+    // Report what settle_failure() decided for a failed attempt.
+    const auto report = [&](JobId id, const FaultNotice& notice) {
+      record_fault(FaultEvent{0, id, notice.kind, notice.vertex,
+                              notice.category, notice.attempt, -1,
+                              notice.retry_delay, {}});
+      if (notice.kind == FaultKind::kRetryScheduled) ++result.retries;
+    };
 
     // Observable state: true instantaneous desires.  Built in place so each
     // JobView's desire buffer is reused across quanta, not re-allocated.
@@ -683,31 +690,16 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
               ++result.failed_attempts;
               record_fault(FaultEvent{0, id, FaultKind::kTaskFailure, v, a,
                                       attempt, proc, 0, {}});
-              if (attempt >= retry.max_attempts) {
-                switch (retry.on_exhausted) {
-                  case ExhaustionAction::kFailFast:
-                    // Unwind only after the barrier: dispatched closures
-                    // still reference the jobs.
-                    fatal.emplace(id, v, a, attempt);
-                    break;
-                  case ExhaustionAction::kFailJob:
-                    record_fault(FaultEvent{0, id, FaultKind::kJobFailed,
-                                            v, a, attempt, -1, 0, {}});
-                    job->abandon(JobOutcome::kFailed);
-                    break;
-                  case ExhaustionAction::kDropJob:
-                    record_fault(FaultEvent{0, id, FaultKind::kJobDropped,
-                                            v, a, attempt, -1, 0, {}});
-                    job->abandon(JobOutcome::kDropped);
-                    break;
-                }
-                break;  // job abandoned (or run failing): stop admitting it
+              const auto notice = settle_failure(*job, retry, v, a, attempt);
+              if (!notice) {
+                // Unwind only after the barrier: dispatched closures still
+                // reference the jobs.
+                fatal.emplace(id, v, a, attempt);
+                break;
               }
-              const Time delay = retry_backoff(retry, attempt);
-              record_fault(FaultEvent{0, id, FaultKind::kRetryScheduled, v,
-                                      a, attempt, -1, delay, {}});
-              job->requeue(v, delay);
-              ++result.retries;
+              report(id, *notice);
+              if (notice->kind != FaultKind::kRetryScheduled)
+                break;  // job abandoned: stop admitting it
               continue;
             }
             // tag.seq routes the attempt's outcome back to this entry.
@@ -753,31 +745,11 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
         if (kind == FaultKind::kTaskTimeout) ++result.timeouts;
         record_fault(FaultEvent{0, pa.id, kind, pa.vertex, pa.category,
                                 pa.attempt, pa.proc, 0, {}});
-        if (pa.attempt >= retry.max_attempts) {
-          switch (retry.on_exhausted) {
-            case ExhaustionAction::kFailFast:
-              throw TaskFailedError(pa.id, pa.vertex, pa.category, pa.attempt);
-            case ExhaustionAction::kFailJob:
-              record_fault(FaultEvent{0, pa.id, FaultKind::kJobFailed,
-                                      pa.vertex, pa.category, pa.attempt, -1,
-                                      0, {}});
-              pa.job->abandon(JobOutcome::kFailed);
-              break;
-            case ExhaustionAction::kDropJob:
-              record_fault(FaultEvent{0, pa.id, FaultKind::kJobDropped,
-                                      pa.vertex, pa.category, pa.attempt, -1,
-                                      0, {}});
-              pa.job->abandon(JobOutcome::kDropped);
-              break;
-          }
-        } else {
-          const Time delay = retry_backoff(retry, pa.attempt);
-          record_fault(FaultEvent{0, pa.id, FaultKind::kRetryScheduled,
-                                  pa.vertex, pa.category, pa.attempt, -1,
-                                  delay, {}});
-          pa.job->requeue(pa.vertex, delay);
-          ++result.retries;
-        }
+        const auto notice = settle_failure(*pa.job, retry, pa.vertex,
+                                           pa.category, pa.attempt);
+        if (!notice)
+          throw TaskFailedError(pa.id, pa.vertex, pa.category, pa.attempt);
+        report(pa.id, *notice);
       }
     }
 

@@ -1,27 +1,13 @@
 #include "runtime/runtime_job.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace krad {
 
 RuntimeJob::RuntimeJob(KDag dag, std::string name)
-    : dag_(std::move(dag)), name_(std::move(name)) {
-  if (!dag_.sealed()) throw std::logic_error("RuntimeJob: dag must be sealed");
-  tasks_.resize(dag_.num_vertices());
-  ready_.resize(dag_.num_categories());
-  attempts_.assign(dag_.num_vertices(), 0);
-  remaining_work_.resize(dag_.num_categories());
-  for (Category a = 0; a < dag_.num_categories(); ++a)
-    remaining_work_[a] = dag_.work(a);
-  ready_cp_count_.assign(static_cast<std::size_t>(dag_.span()) + 1, 0);
-  pending_in_degree_.resize(dag_.num_vertices());
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    pending_in_degree_[v] = static_cast<std::uint32_t>(dag_.in_degree(v));
-  // Sources become ready in vertex-id order, matching DagJob::reset.
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v)
-    if (dag_.in_degree(v) == 0) make_ready(v);
-}
+    : tasks_(dag.num_vertices()),
+      cursor_(std::move(dag)),
+      name_(std::move(name)) {}
 
 void RuntimeJob::set_task(VertexId v, TaskFn fn) {
   if (fn) {
@@ -36,102 +22,7 @@ void RuntimeJob::set_task(VertexId v, CancellableTaskFn fn) {
 }
 
 void RuntimeJob::set_all_tasks(const TaskFn& fn) {
-  for (VertexId v = 0; v < dag_.num_vertices(); ++v) set_task(v, fn);
-}
-
-void RuntimeJob::make_ready(VertexId v) {
-  ready_[dag_.category(v)].push_back(v);
-  const auto cp = static_cast<std::size_t>(dag_.cp_length(v));
-  ++ready_cp_count_[cp];
-  if (static_cast<Work>(cp) > remaining_span_cache_)
-    remaining_span_cache_ = static_cast<Work>(cp);
-}
-
-Work RuntimeJob::desire(Category alpha) const {
-  return static_cast<Work>(ready_.at(alpha).size());
-}
-
-VertexId RuntimeJob::pop_ready(Category alpha) {
-  auto& queue = ready_.at(alpha);
-  if (queue.empty())
-    throw std::logic_error("RuntimeJob: pop_ready on empty category");
-  const VertexId v = queue.front();
-  queue.pop_front();
-  --ready_cp_count_[static_cast<std::size_t>(dag_.cp_length(v))];
-  --remaining_work_[alpha];
-  ++admitted_;
-  return v;
-}
-
-void RuntimeJob::requeue(VertexId v, Time backoff) {
-  if (abandoned_) return;
-  --admitted_;
-  ++remaining_work_[dag_.category(v)];
-  // Ready again once the backoff expires; the +1 accounts for the upcoming
-  // end-of-quantum promote (backoff 0 = ready next quantum), matching
-  // FaultyDagJob's `advances_ + 1 + delay`.
-  cooling_.emplace_back(promotes_ + 1 + backoff, v);
-}
-
-void RuntimeJob::abandon(JobOutcome outcome) {
-  abandoned_ = true;
-  outcome_ = outcome;
-  for (auto& queue : ready_) queue.clear();
-  cooling_.clear();
-  newly_enabled_.clear();
-  remaining_work_.assign(dag_.num_categories(), 0);
-  ready_cp_count_.assign(ready_cp_count_.size(), 0);
-  remaining_span_cache_ = 0;
-}
-
-void RuntimeJob::run_closure(VertexId v, const CancellationToken& token) {
-  if (const CancellableTaskFn& task = tasks_[v]) task(token);
-}
-
-void RuntimeJob::release_successors(VertexId v) {
-  // Executor thread only (header contract), so plain arithmetic suffices;
-  // after an abandon the in-degree table is stale by design, so late
-  // releases of already-dispatched vertices must not resurrect work.
-  if (abandoned_) return;
-  for (VertexId succ : dag_.successors(v))
-    if (--pending_in_degree_[succ] == 0) newly_enabled_.push_back(succ);
-}
-
-void RuntimeJob::run_task(VertexId v) {
-  run_closure(v, CancellationToken{});
-  release_successors(v);
-}
-
-void RuntimeJob::promote_enabled() {
-  ++promotes_;
-  for (VertexId v : newly_enabled_) make_ready(v);
-  newly_enabled_.clear();
-  // Then retries whose backoff expired, preserving failure order — the same
-  // promotion order as FaultyDagJob::advance.
-  std::size_t kept = 0;
-  for (const PendingRetry& retry : cooling_) {
-    if (retry.due_promotes <= promotes_)
-      make_ready(retry.vertex);
-    else
-      cooling_[kept++] = retry;
-  }
-  cooling_.resize(kept);
-}
-
-bool RuntimeJob::finished() const noexcept {
-  return abandoned_ || admitted_ == static_cast<Work>(dag_.num_vertices());
-}
-
-Work RuntimeJob::remaining_work(Category alpha) const {
-  return remaining_work_.at(alpha);
-}
-
-Work RuntimeJob::remaining_span() const {
-  // Same lazy histogram walk as DagJob::remaining_span.
-  auto& cache = const_cast<RuntimeJob*>(this)->remaining_span_cache_;
-  while (cache > 0 && ready_cp_count_[static_cast<std::size_t>(cache)] == 0)
-    --cache;
-  return cache;
+  for (VertexId v = 0; v < dag().num_vertices(); ++v) set_task(v, fn);
 }
 
 }  // namespace krad

@@ -339,6 +339,59 @@ TEST(FaultyDagJob, FaultyTracePassesTheValidator) {
       << (violations.empty() ? "" : violations.front());
 }
 
+/// Chain a -> b -> c plus a lone d, all of category 0.
+KDag chain_plus_lone() {
+  KDag dag(1);
+  const VertexId a = dag.add_vertex(0);
+  const VertexId b = dag.add_vertex(0);
+  const VertexId c = dag.add_vertex(0);
+  dag.add_vertex(0);
+  dag.add_edge(a, b);
+  dag.add_edge(b, c);
+  dag.seal();
+  return dag;
+}
+
+TEST(FaultyDagJob, CoolingRetryStaysInTheRemainingSpan) {
+  // Vertex a (id 0) fails its first attempt and cools for 4 steps.  The
+  // chain a -> b -> c is still 3 long, so both wrappers over the cursor
+  // must report a remaining span of 3, not the lone d's 1.
+  const MachineConfig machine{{1}};
+  FaultPlan plan;
+  plan.scripted = {{0, 0, 1}};
+  const FaultInjector injector(plan, machine);
+  RetryPolicy policy;
+  policy.backoff_base = 4;
+  FaultyDagJob sim(chain_plus_lone(), 0, &injector, policy);
+  EXPECT_EQ(sim.execute(0, 1, nullptr), 0);  // a's attempt burns the slot
+  sim.advance();
+  EXPECT_EQ(sim.desire(0), 1);  // only d is ready
+  EXPECT_EQ(sim.remaining_work(0), 4);
+  EXPECT_EQ(sim.remaining_span(), 3);
+
+  RuntimeJob live(chain_plus_lone());
+  const VertexId a = live.pop_ready(0);
+  ASSERT_EQ(live.register_attempt(a), 1);
+  live.requeue(a, retry_backoff(policy, 1));
+  live.promote_enabled();
+  EXPECT_EQ(live.desire(0), 1);
+  EXPECT_EQ(live.remaining_work(0), 4);
+  EXPECT_EQ(live.remaining_span(), 3);
+
+  // Once the retry is ready again it is counted once, not twice: running
+  // everything to the end drains the span to 0.
+  while (!sim.finished()) {
+    sim.execute(0, 1, nullptr);
+    sim.advance();
+  }
+  EXPECT_EQ(sim.remaining_span(), 0);
+  while (!live.finished()) {
+    if (live.desire(0) > 0) live.run_task(live.pop_ready(0));
+    live.promote_enabled();
+  }
+  EXPECT_EQ(live.remaining_span(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Capacity degradation in the simulator
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "dag/builders.hpp"
@@ -190,6 +191,72 @@ TEST(DagJob, ResetRestoresInitialState) {
   }
   // Same seed -> identical random execution order.
   EXPECT_EQ(first.vertices, second.vertices);
+}
+
+/// Three sources of critical paths 2, 1 and 3 in one category:
+/// 0 -> 3, 1, 2 -> 4 -> 5.
+KDag three_chains() {
+  KDag dag(1);
+  for (int i = 0; i < 6; ++i) dag.add_vertex(0);
+  dag.add_edge(0, 3);
+  dag.add_edge(2, 4);
+  dag.add_edge(4, 5);
+  dag.seal();
+  return dag;
+}
+
+/// Run `job` one task per step to the end; the execution order.
+std::vector<VertexId> one_at_a_time(DagJob& job) {
+  CollectSink sink;
+  while (!job.finished()) {
+    job.execute(0, 1, &sink);
+    job.advance();
+  }
+  return sink.vertices;
+}
+
+TEST(DagJob, PopOrderOfEveryPolicyIsPinnedAcrossReset) {
+  const std::pair<SelectionPolicy, std::vector<VertexId>> cases[] = {
+      {SelectionPolicy::kFifo, {0, 1, 2, 3, 4, 5}},
+      {SelectionPolicy::kLifo, {2, 4, 5, 1, 0, 3}},
+      {SelectionPolicy::kCriticalPathFirst, {2, 0, 4, 1, 3, 5}},
+      {SelectionPolicy::kCriticalPathLast, {1, 0, 3, 2, 4, 5}},
+      {SelectionPolicy::kRandom, {1, 2, 4, 5, 0, 3}},  // seed 9
+  };
+  for (const auto& [policy, expected] : cases) {
+    DagJob job(three_chains(), policy, "j", 9);
+    EXPECT_EQ(one_at_a_time(job), expected) << to_string(policy);
+    job.reset();
+    EXPECT_EQ(one_at_a_time(job), expected) << to_string(policy);
+    // A reset mid-run, with a part-consumed ready set, starts over too.
+    job.reset();
+    job.execute(0, 2, nullptr);
+    job.advance();
+    job.reset();
+    EXPECT_EQ(one_at_a_time(job), expected) << to_string(policy);
+  }
+}
+
+TEST(DagJob, FifoQueueDrainsAndRefillsInReleaseOrder) {
+  // Sources 0 and 1; 0 enables 2 and 3, 1 enables 4.
+  KDag dag(1);
+  for (int i = 0; i < 5; ++i) dag.add_vertex(0);
+  dag.add_edge(0, 2);
+  dag.add_edge(0, 3);
+  dag.add_edge(1, 4);
+  dag.seal();
+  DagJob job(std::move(dag), SelectionPolicy::kFifo);
+  CollectSink sink;
+  EXPECT_EQ(job.execute(0, 5, &sink), 2);  // drains the queue
+  EXPECT_EQ(job.desire(0), 0);
+  job.advance();
+  EXPECT_EQ(job.desire(0), 3);
+  EXPECT_EQ(job.execute(0, 1, &sink), 1);  // part-consumed refill
+  job.advance();
+  EXPECT_EQ(job.desire(0), 2);
+  EXPECT_EQ(job.execute(0, 5, &sink), 2);
+  EXPECT_TRUE(job.finished());
+  EXPECT_EQ(sink.vertices, (std::vector<VertexId>{0, 1, 2, 3, 4}));
 }
 
 TEST(DagJob, RejectsUnsealedDag) {
