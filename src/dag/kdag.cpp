@@ -6,23 +6,47 @@
 
 namespace krad {
 
+namespace {
+
+// First capacity of the construction arrays: most DAGs are small, and one
+// allocation per array covers them; larger ones grow by doubling from here.
+constexpr std::size_t kInitialCapacity = 16;
+
+}  // namespace
+
 VertexId KDag::add_vertex(Category category) {
-  if (sealed_) throw std::logic_error("KDag::add_vertex: graph is sealed");
+  require_unfrozen("add_vertex");
   if (category >= num_categories_)
     throw std::logic_error("KDag::add_vertex: category out of range");
+  if (categories_.empty()) {
+    categories_.reserve(kInitialCapacity);
+    in_degree_.reserve(kInitialCapacity);
+    succ_offsets_.reserve(kInitialCapacity + 1);
+    succ_offsets_.push_back(0);
+  }
   categories_.push_back(category);
-  out_edges_.emplace_back();
   in_degree_.push_back(0);
+  succ_offsets_.push_back(0);
   return static_cast<VertexId>(categories_.size() - 1);
 }
 
 void KDag::add_edge(VertexId u, VertexId v) {
-  if (sealed_) throw std::logic_error("KDag::add_edge: graph is sealed");
+  require_unfrozen("add_edge");
   if (u >= num_vertices() || v >= num_vertices() || u == v)
     throw std::logic_error("KDag::add_edge: invalid endpoints");
-  out_edges_[u].push_back(v);
+  if (edge_sources_.empty() && u < last_source_) {
+    // First edge out of source order.  The edges so far are grouped by
+    // ascending source, so the out-degrees spell out their sources.
+    edge_sources_.reserve(succ_flat_.capacity());
+    for (VertexId w = 0; w <= last_source_; ++w)
+      edge_sources_.insert(edge_sources_.end(), succ_offsets_[w + 1], w);
+  }
+  if (succ_flat_.empty()) succ_flat_.reserve(kInitialCapacity);
+  succ_flat_.push_back(v);
+  if (!edge_sources_.empty()) edge_sources_.push_back(u);
+  last_source_ = u;
+  ++succ_offsets_[u + 1];
   ++in_degree_[v];
-  ++num_edges_;
 }
 
 std::pair<VertexId, VertexId> KDag::add_chain(Category category,
@@ -40,64 +64,74 @@ std::pair<VertexId, VertexId> KDag::add_chain(Category category,
   return {first, prev};
 }
 
+void KDag::build_csr() {
+  const std::size_t n = num_vertices();
+  if (succ_offsets_.empty()) succ_offsets_.push_back(0);  // no vertices
+  if (edge_sources_.empty()) {
+    // Edges arrived in source order: succ_flat_ already is the CSR array,
+    // and the offsets are the running sum of the out-degrees.
+    for (std::size_t v = 0; v < n; ++v)
+      succ_offsets_[v + 1] += succ_offsets_[v];
+  } else {
+    // Stable counting sort by source.  succ_offsets_[u + 1] starts at the
+    // beginning of u's range and advances past each edge placed there, so
+    // it ends at the beginning of u + 1's: the CSR offsets in one pass.
+    std::size_t start = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t degree = succ_offsets_[v + 1];
+      succ_offsets_[v + 1] = start;
+      start += degree;
+    }
+    std::vector<VertexId> sorted(succ_flat_.size());
+    for (std::size_t e = 0; e < sorted.size(); ++e)
+      sorted[succ_offsets_[edge_sources_[e] + 1]++] = succ_flat_[e];
+    succ_flat_.swap(sorted);  // `sorted` now frees the insertion-order buffer
+    std::vector<VertexId>().swap(edge_sources_);
+  }
+  csr_built_ = true;
+}
+
 void KDag::seal() {
   if (sealed_) return;
-
-  // Kahn topological sort (doubles as cycle detection).
+  if (!csr_built_) build_csr();
   const std::size_t n = num_vertices();
+
+  // Kahn topological sort over the CSR (doubles as cycle detection), with
+  // topo_ itself as the FIFO queue.  cp_length_ holds the remaining
+  // in-degrees until the reverse pass below overwrites it.
+  cp_length_.assign(in_degree_.begin(), in_degree_.end());
   topo_.clear();
   topo_.reserve(n);
-  std::vector<std::size_t> indeg = in_degree_;
-  std::vector<VertexId> frontier;
   for (VertexId v = 0; v < n; ++v)
-    if (indeg[v] == 0) frontier.push_back(v);
-  while (!frontier.empty()) {
-    const VertexId v = frontier.back();
-    frontier.pop_back();
-    topo_.push_back(v);
-    for (VertexId succ : out_edges_[v])
-      if (--indeg[succ] == 0) frontier.push_back(succ);
+    if (in_degree_[v] == 0) topo_.push_back(v);
+  for (std::size_t head = 0; head < topo_.size(); ++head) {
+    const VertexId v = topo_[head];
+    for (std::size_t e = succ_offsets_[v]; e < succ_offsets_[v + 1]; ++e)
+      if (--cp_length_[succ_flat_[e]] == 0) topo_.push_back(succ_flat_[e]);
   }
   if (topo_.size() != n) throw std::logic_error("KDag::seal: cycle detected");
 
+  // One reverse-topological pass.  cp_length_[v] is the longest chain
+  // starting at v, counting v; the span is the largest of them.
+  // run_len_[v] counts the successive same-category vertices that form a
+  // chain with no fan-in or fan-out starting at v — the window a
+  // single-ready-vertex DagJob can execute under one frozen allotment
+  // (docs/SIMULATOR.md).
   work_per_category_.assign(num_categories_, 0);
-  for (Category c : categories_) ++work_per_category_[c];
-
-  // Critical-path length from each vertex (counting the vertex): reverse
-  // topological sweep.
-  cp_length_.assign(n, 1);
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const VertexId v = *it;
-    Work best = 0;
-    for (VertexId succ : out_edges_[v]) best = std::max(best, cp_length_[succ]);
-    cp_length_[v] = best + 1;
-  }
-  span_ = 0;
-  for (VertexId v = 0; v < n; ++v)
-    if (in_degree_[v] == 0) span_ = std::max(span_, cp_length_[v]);
-
-  // Flatten the adjacency into CSR form and release the per-vertex vectors:
-  // after seal the graph is immutable and every traversal (engine hot paths,
-  // validator, precedes) walks the contiguous arrays.
-  succ_offsets_.assign(n + 1, 0);
-  for (VertexId v = 0; v < n; ++v)
-    succ_offsets_[v + 1] = succ_offsets_[v] + out_edges_[v].size();
-  succ_flat_.clear();
-  succ_flat_.reserve(num_edges_);
-  for (VertexId v = 0; v < n; ++v)
-    succ_flat_.insert(succ_flat_.end(), out_edges_[v].begin(),
-                      out_edges_[v].end());
-  out_edges_ = {};
-
-  // Straight-line run lengths (reverse topological): run_len_[v] counts how
-  // many successive same-category vertices form a chain with no fan-in or
-  // fan-out starting at v — the window a single-ready-vertex DagJob can
-  // execute under one frozen allotment (docs/SIMULATOR.md).
   run_len_.assign(n, 1);
+  span_ = 0;
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     const VertexId v = *it;
-    if (succ_offsets_[v + 1] - succ_offsets_[v] != 1) continue;
-    const VertexId succ = succ_flat_[succ_offsets_[v]];
+    const std::size_t begin = succ_offsets_[v];
+    const std::size_t end = succ_offsets_[v + 1];
+    Work longest = 0;
+    for (std::size_t e = begin; e < end; ++e)
+      longest = std::max(longest, cp_length_[succ_flat_[e]]);
+    cp_length_[v] = longest + 1;
+    span_ = std::max(span_, cp_length_[v]);
+    ++work_per_category_[categories_[v]];
+    if (end - begin != 1) continue;
+    const VertexId succ = succ_flat_[begin];
     if (in_degree_[succ] == 1 && categories_[succ] == categories_[v])
       run_len_[v] = run_len_[succ] + 1;
   }
@@ -106,9 +140,9 @@ void KDag::seal() {
 }
 
 std::span<const VertexId> KDag::successors(VertexId v) const {
-  if (!sealed_) return out_edges_.at(v);
-  const std::size_t begin = succ_offsets_.at(v);
-  const std::size_t end = succ_offsets_.at(v + 1);
+  require_sealed("successors");
+  const std::size_t end = succ_offsets_.at(static_cast<std::size_t>(v) + 1);
+  const std::size_t begin = succ_offsets_[v];
   return {succ_flat_.data() + begin, end - begin};
 }
 
@@ -151,7 +185,7 @@ bool KDag::precedes(VertexId u, VertexId v) const {
 std::string KDag::summary() const {
   char buffer[128];
   std::snprintf(buffer, sizeof buffer, "KDag{V=%zu E=%zu K=%u span=%lld work=[",
-                num_vertices(), num_edges_, num_categories_,
+                num_vertices(), num_edges(), num_categories_,
                 static_cast<long long>(span_));
   std::string out = buffer;
   for (Category c = 0; c < num_categories_; ++c) {
@@ -160,6 +194,11 @@ std::string KDag::summary() const {
   }
   out += "]}";
   return out;
+}
+
+void KDag::require_unfrozen(const char* what) const {
+  if (csr_built_)
+    throw std::logic_error(std::string("KDag::") + what + ": graph is sealed");
 }
 
 void KDag::require_sealed(const char* what) const {

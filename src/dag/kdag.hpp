@@ -16,7 +16,14 @@
 namespace krad {
 
 /// Immutable-after-seal K-DAG.  Build with add_vertex/add_edge, then call
-/// seal() once; analysis accessors require a sealed graph.
+/// seal() once; successors() and the analysis accessors require a sealed
+/// graph.
+///
+/// Construction appends each edge's target to one flat array in insertion
+/// order; seal() turns it into CSR (compressed sparse row) successor lists
+/// by a stable counting sort on the source, which it skips when the edges
+/// already arrived in non-decreasing source order.  successors(u) therefore
+/// lists u's targets in the order their edges were added.
 class KDag {
  public:
   KDag() = default;
@@ -35,17 +42,21 @@ class KDag {
   std::pair<VertexId, VertexId> add_chain(Category category, std::size_t length,
                                           VertexId after = kInvalidVertex);
 
-  /// Validate acyclicity and compute derived data (topological order, works,
-  /// span, critical-path lengths).  Throws std::logic_error on a cycle or on
-  /// an out-of-range category.  Idempotent.
+  /// Build the CSR successor lists, validate acyclicity and compute derived
+  /// data (topological order, works, span, critical-path and run lengths),
+  /// then release the construction storage.  Throws std::logic_error on a
+  /// cycle; the graph then stays frozen (no further add_vertex/add_edge) and
+  /// every later seal() throws again.  Idempotent once it succeeds.
   void seal();
   bool sealed() const noexcept { return sealed_; }
 
   // --- structure ---
   std::size_t num_vertices() const noexcept { return categories_.size(); }
-  std::size_t num_edges() const noexcept { return num_edges_; }
+  std::size_t num_edges() const noexcept { return succ_flat_.size(); }
   Category num_categories() const noexcept { return num_categories_; }
   Category category(VertexId v) const { return categories_.at(v); }
+  /// Targets of v's out-edges, in the order they were added; requires
+  /// sealed().
   std::span<const VertexId> successors(VertexId v) const;
   std::size_t in_degree(VertexId v) const { return in_degree_.at(v); }
 
@@ -71,7 +82,7 @@ class KDag {
   std::vector<VertexId> sources() const;
 
   /// True iff u precedes v (path u ~> v).  O(V+E) per query; intended for
-  /// tests and the schedule validator, not hot paths.
+  /// tests and the schedule validator, not hot paths.  Requires sealed().
   bool precedes(VertexId u, VertexId v) const;
 
   /// Human-readable summary, e.g. "KDag{V=12 E=14 K=3 span=5 work=[4,6,2]}".
@@ -79,21 +90,28 @@ class KDag {
 
  private:
   void require_sealed(const char* what) const;
+  void require_unfrozen(const char* what) const;
+  void build_csr();
 
   Category num_categories_ = 1;
   std::vector<Category> categories_;
-  /// Adjacency under construction only; seal() flattens it into the CSR
-  /// arrays below and releases this storage.
-  std::vector<std::vector<VertexId>> out_edges_;
   std::vector<std::size_t> in_degree_;
-  std::size_t num_edges_ = 0;
-  bool sealed_ = false;
 
-  // Derived by seal().  Successor lists live in one flat CSR pair so the
-  // engines walk contiguous memory: successors(v) is
-  // succ_flat_[succ_offsets_[v] .. succ_offsets_[v + 1]).
+  // Successor lists in one flat CSR pair so the engines walk contiguous
+  // memory: successors(v) is succ_flat_[succ_offsets_[v] ..
+  // succ_offsets_[v + 1]).  Before seal(), succ_flat_ holds edge targets in
+  // insertion order and succ_offsets_[v + 1] counts v's out-edges.
   std::vector<std::size_t> succ_offsets_;  // num_vertices() + 1 entries
   std::vector<VertexId> succ_flat_;        // num_edges() entries
+  // Construction only: the source of every edge, recorded from the first
+  // edge whose source is below its predecessor's (until then the sources
+  // follow from the out-degrees).  seal() sorts by it and frees it.
+  std::vector<VertexId> edge_sources_;
+  VertexId last_source_ = 0;
+  bool csr_built_ = false;  // seal() got past build_csr(): no more mutation
+  bool sealed_ = false;
+
+  // Derived by seal().
   std::vector<VertexId> topo_;
   std::vector<Work> work_per_category_;
   std::vector<Work> cp_length_;

@@ -723,7 +723,10 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
       // Resolve dispatched attempts in admission order: successes release
       // their successors (executor-side, deterministic) and become
       // TaskEvents on their reserved slots, failures go through the retry
-      // policy exactly like injected ones.
+      // policy exactly like injected ones.  If an injected failure abandoned
+      // the job earlier this quantum, its failures are recorded but settle
+      // nothing, and its successes still count as executed work: their
+      // closures ran on reserved slots (docs/FAULTS.md).
       std::sort(failures.begin(), failures.end(),
                 [](const AttemptFailure& a, const AttemptFailure& b) {
                   return a.seq < b.seq;
@@ -745,6 +748,7 @@ RuntimeResult Executor::run(KScheduler& scheduler) {
         if (kind == FaultKind::kTaskTimeout) ++result.timeouts;
         record_fault(FaultEvent{0, pa.id, kind, pa.vertex, pa.category,
                                 pa.attempt, pa.proc, 0, {}});
+        if (pa.job->finished()) continue;  // abandoned: nothing to retry
         const auto notice = settle_failure(*pa.job, retry, pa.vertex,
                                            pa.category, pa.attempt);
         if (!notice)

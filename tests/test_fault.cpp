@@ -533,6 +533,50 @@ TEST(ExecutorFaults, ExhaustedClosureFailuresFollowThePolicy) {
       << (violations.empty() ? "" : violations.front());
 }
 
+TEST(ExecutorFaults, ClosureFailureAfterAbandonSchedulesNoRetry) {
+  // u -> v0, plus v1.  Quantum 1 runs u and v1, whose injected failure
+  // retries it.  Quantum 2 admits v0 (its closure throws, resolved after
+  // the barrier) and then v1's second attempt, whose injected failure
+  // exhausts the budget and abandons the job.  v0's failure still counts,
+  // but it must not schedule a retry of an abandoned job.
+  const MachineConfig machine{{2}};
+  FaultPlan plan;
+  plan.scripted = {{0, 2, 1}, {0, 2, 2}};  // job 0, v1, attempts 1 and 2
+  ExecutorOptions options;
+  options.inline_execution = true;
+  options.fault_plan = &plan;
+  options.retry.max_attempts = 2;
+  options.retry.on_exhausted = ExhaustionAction::kFailJob;
+  Executor executor(machine, options);
+
+  KDag dag(1);
+  const VertexId u = dag.add_vertex(0);
+  const VertexId v0 = dag.add_vertex(0);
+  dag.add_vertex(0);  // v1
+  dag.add_edge(u, v0);
+  dag.seal();
+  auto job = std::make_unique<RuntimeJob>(std::move(dag));
+  job->set_all_tasks([] {});
+  job->set_task(v0, [] { throw std::runtime_error("v0 fails"); });
+  executor.submit(std::move(job));
+  KRad sched;
+  const RuntimeResult r = executor.run(sched);
+
+  EXPECT_EQ(r.outcome[0], JobOutcome::kFailed);
+  EXPECT_EQ(r.failed_attempts, 3);
+  EXPECT_EQ(r.retries, 1);  // v1's first failure only
+  std::vector<FaultKind> kinds;
+  for (const FaultEvent& event : r.trace->faults()) kinds.push_back(event.kind);
+  EXPECT_EQ(kinds, (std::vector<FaultKind>{
+                       FaultKind::kTaskFailure, FaultKind::kRetryScheduled,
+                       FaultKind::kTaskFailure, FaultKind::kJobFailed,
+                       FaultKind::kTaskFailure}));
+  const auto violations =
+      validate_schedule(executor.validation_inputs(), machine, *r.trace);
+  EXPECT_TRUE(violations.empty())
+      << (violations.empty() ? "" : violations.front());
+}
+
 TEST(ExecutorFaults, FailFastPropagatesTaskFailedError) {
   const MachineConfig machine{{2}};
   FaultPlan plan;
