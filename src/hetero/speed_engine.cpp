@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim/engine.hpp"
+
 namespace krad {
 
 const char* to_string(SpeedAssignment assignment) {
@@ -14,163 +16,129 @@ const char* to_string(SpeedAssignment assignment) {
   return "?";
 }
 
+namespace {
+
+/// Runs a count-based scheduler on a machine whose category capacity is the
+/// aggregate speed S_alpha.  The inner scheduler decides processor counts on
+/// the counts machine; this decorator hands each job the summed speed of the
+/// concrete processors the assignment policy gives it, and the engine then
+/// executes min(desire, speed) tasks.  It tallies the counted
+/// processor-steps, so SimResult::allotted keeps its count meaning.
+class SpeedAssigner final : public KScheduler {
+ public:
+  SpeedAssigner(KScheduler& inner, const SpeedMachineConfig& machine,
+                SpeedAssignment assignment)
+      : inner_(&inner),
+        machine_(&machine),
+        counts_(machine.counts()),
+        assignment_(assignment),
+        by_speed_(machine.categories()),
+        allotted_(machine.categories(), 0),
+        last_(machine.categories(), 0) {
+    // Per category, processor indices sorted by descending speed (for the
+    // fastest-to-greediest policy).
+    for (std::size_t a = 0; a < by_speed_.size(); ++a) {
+      const std::vector<int>& speeds = machine.speeds[a];
+      by_speed_[a].resize(speeds.size());
+      std::iota(by_speed_[a].begin(), by_speed_[a].end(), 0u);
+      std::stable_sort(by_speed_[a].begin(), by_speed_[a].end(),
+                       [&](std::size_t x, std::size_t y) {
+                         return speeds[x] > speeds[y];
+                       });
+    }
+  }
+
+  void reset(const MachineConfig& machine, std::size_t num_jobs) override {
+    (void)machine;  // the S_alpha machine; the inner scheduler sees counts
+    inner_->reset(counts_, num_jobs);
+    std::fill(allotted_.begin(), allotted_.end(), 0);
+  }
+  bool clairvoyant() const override { return inner_->clairvoyant(); }
+  std::string name() const override { return inner_->name(); }
+  Time steady_horizon() const override { return inner_->steady_horizon(); }
+  void note_steady_steps(Time steps) override {
+    inner_->note_steady_steps(steps);
+    for (std::size_t a = 0; a < allotted_.size(); ++a)
+      allotted_[a] += last_[a] * steps;
+  }
+
+  void allot(Time now, std::span<const JobView> active,
+             const ClairvoyantView* clair, Allotment& out) override {
+    const std::size_t k = allotted_.size();
+    counted_.resize(active.size());
+    for (std::vector<Work>& row : counted_) row.assign(k, 0);
+    inner_->allot(now, active, clair, counted_);
+
+    for (std::size_t a = 0; a < k; ++a) {
+      Work total = 0;
+      for (std::size_t j = 0; j < active.size(); ++j) total += counted_[j][a];
+      if (total > counts_.processors[a])
+        throw std::logic_error("simulate_speeds: over-allocation by " +
+                               inner_->name());
+      last_[a] = total;
+      allotted_[a] += total;
+
+      // Job visit order for processor hand-out.
+      order_.resize(active.size());
+      std::iota(order_.begin(), order_.end(), 0u);
+      if (assignment_ == SpeedAssignment::kFastestToGreediest)
+        std::stable_sort(order_.begin(), order_.end(),
+                         [&](std::size_t x, std::size_t y) {
+                           return active[x].desire[a] > active[y].desire[a];
+                         });
+      std::size_t next_proc = 0;  // index into by_speed_[a] / identity order
+      for (std::size_t j : order_) {
+        Work speed = 0;
+        for (Work c = 0; c < counted_[j][a]; ++c, ++next_proc)
+          speed += machine_->speeds[a][assignment_ == SpeedAssignment::kBlind
+                                           ? next_proc
+                                           : by_speed_[a][next_proc]];
+        out[j][a] = speed;
+      }
+    }
+  }
+
+  const std::vector<Work>& allotted() const { return allotted_; }
+
+ private:
+  KScheduler* inner_;
+  const SpeedMachineConfig* machine_;
+  MachineConfig counts_;
+  SpeedAssignment assignment_;
+  std::vector<std::vector<std::size_t>> by_speed_;
+  std::vector<Work> allotted_;  // counted processor-steps per category
+  std::vector<Work> last_;      // counted total of the last decision
+  Allotment counted_;
+  std::vector<std::size_t> order_;
+};
+
+}  // namespace
+
 SpeedSimResult simulate_speeds(JobSet& set, KScheduler& scheduler,
                                const SpeedMachineConfig& machine,
                                SpeedAssignment assignment, Time max_steps) {
-  const auto counts = machine.counts();
-  const auto k = static_cast<Category>(counts.categories());
+  const auto k = static_cast<Category>(machine.categories());
   if (set.num_categories() != k)
     throw std::logic_error("simulate_speeds: category mismatch");
+  MachineConfig capacity;
   for (Category a = 0; a < k; ++a) {
     if (machine.speeds[a].empty())
       throw std::logic_error("simulate_speeds: empty category");
     for (int s : machine.speeds[a])
       if (s < 1) throw std::logic_error("simulate_speeds: speed < 1");
+    capacity.processors.push_back(static_cast<int>(machine.total_speed(a)));
   }
 
-  // Per category, processor indices sorted by descending speed (for the
-  // fastest-to-greediest policy).
-  std::vector<std::vector<std::size_t>> by_speed(k);
-  for (Category a = 0; a < k; ++a) {
-    by_speed[a].resize(machine.speeds[a].size());
-    std::iota(by_speed[a].begin(), by_speed[a].end(), 0u);
-    std::stable_sort(by_speed[a].begin(), by_speed[a].end(),
-                     [&](std::size_t x, std::size_t y) {
-                       return machine.speeds[a][x] > machine.speeds[a][y];
-                     });
-  }
-
-  const std::size_t n = set.size();
+  SpeedAssigner assigner(scheduler, machine, assignment);
+  SimOptions options;
+  options.max_steps = max_steps;
   SpeedSimResult out;
-  SimResult& result = out.base;
-  result.completion.assign(n, 0);
-  result.response.assign(n, 0);
-  result.executed_work.assign(k, 0);
-  result.allotted.assign(k, 0);
-  result.utilization.assign(k, 0.0);
-  out.wasted_speed.assign(k, 0);
-  if (n == 0) return out;
-
-  scheduler.reset(counts, n);
-
-  std::vector<JobId> pending(n);
-  for (JobId i = 0; i < n; ++i) pending[i] = i;
-  std::stable_sort(pending.begin(), pending.end(), [&](JobId a, JobId b) {
-    return set.release(a) < set.release(b);
-  });
-  std::size_t next_pending = 0;
-
-  std::vector<JobId> active;
-  std::vector<JobView> views;
-  Allotment allot;
-  ClairvoyantView clair;
-  const bool wants_clair = scheduler.clairvoyant();
-
-  Time t = 1;
-  std::size_t finished = 0;
-  while (finished < n) {
-    while (next_pending < n && set.release(pending[next_pending]) < t)
-      active.push_back(pending[next_pending++]);
-    if (active.empty()) {
-      const Time next_t = set.release(pending[next_pending]) + 1;
-      result.idle_steps += next_t - t;
-      t = next_t;
-      continue;
-    }
-    std::sort(active.begin(), active.end());
-
-    views.clear();
-    for (JobId id : active) {
-      JobView view;
-      view.id = id;
-      view.desire.resize(k);
-      for (Category a = 0; a < k; ++a) view.desire[a] = set.job(id).desire(a);
-      views.push_back(std::move(view));
-    }
-    const ClairvoyantView* clair_ptr = nullptr;
-    if (wants_clair) {
-      clair.remaining_span.clear();
-      clair.remaining_work.clear();
-      clair.release.clear();
-      for (JobId id : active) {
-        clair.remaining_span.push_back(set.job(id).remaining_span());
-        std::vector<Work> rem(k);
-        for (Category a = 0; a < k; ++a) rem[a] = set.job(id).remaining_work(a);
-        clair.remaining_work.push_back(std::move(rem));
-        clair.release.push_back(set.release(id));
-      }
-      clair_ptr = &clair;
-    }
-
-    allot.assign(active.size(), std::vector<Work>(k, 0));
-    scheduler.allot(t, views, clair_ptr, allot);
-
-    // Map counted allotments to concrete processors, then execute.
-    for (Category a = 0; a < k; ++a) {
-      Work total = 0;
-      for (std::size_t j = 0; j < active.size(); ++j) total += allot[j][a];
-      if (total > counts.processors[a])
-        throw std::logic_error("simulate_speeds: over-allocation by " +
-                               scheduler.name());
-      result.allotted[a] += total;
-
-      // Job visit order for processor hand-out.
-      std::vector<std::size_t> job_order(active.size());
-      std::iota(job_order.begin(), job_order.end(), 0u);
-      if (assignment == SpeedAssignment::kFastestToGreediest) {
-        std::stable_sort(job_order.begin(), job_order.end(),
-                         [&](std::size_t x, std::size_t y) {
-                           return views[x].desire[a] > views[y].desire[a];
-                         });
-      }
-
-      std::size_t next_proc = 0;  // index into by_speed[a] / identity order
-      for (std::size_t j : job_order) {
-        Work speed_given = 0;
-        for (Work c = 0; c < allot[j][a]; ++c) {
-          const std::size_t proc =
-              assignment == SpeedAssignment::kFastestToGreediest
-                  ? by_speed[a][next_proc]
-                  : next_proc;
-          speed_given += machine.speeds[a][proc];
-          ++next_proc;
-        }
-        if (speed_given == 0) continue;
-        const Work done = set.job(active[j]).execute(a, speed_given, nullptr);
-        result.executed_work[a] += done;
-        out.wasted_speed[a] += speed_given - done;
-      }
-    }
-
-    for (std::size_t j = 0; j < active.size();) {
-      Job& job = set.job(active[j]);
-      job.advance();
-      if (job.finished()) {
-        const JobId id = active[j];
-        result.completion[id] = t;
-        result.response[id] = t - set.release(id);
-        result.makespan = std::max(result.makespan, t);
-        ++finished;
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(j));
-      } else {
-        ++j;
-      }
-    }
-    ++result.busy_steps;
-    if (result.busy_steps > max_steps)
-      throw std::runtime_error("simulate_speeds: exceeded max_steps");
-    ++t;
-  }
-
-  for (const Time r : result.response) result.total_response += r;
-  result.mean_response =
-      static_cast<double>(result.total_response) / static_cast<double>(n);
-  for (Category a = 0; a < k; ++a) {
-    const double denom =
-        static_cast<double>(machine.total_speed(a)) *
-        static_cast<double>(std::max<Time>(1, result.busy_steps));
-    result.utilization[a] = static_cast<double>(result.executed_work[a]) / denom;
-  }
+  out.base = simulate(set, assigner, capacity, options);
+  // The engine allotted speed; what it did not execute was wasted.
+  out.wasted_speed.resize(k);
+  for (Category a = 0; a < k; ++a)
+    out.wasted_speed[a] = out.base.allotted[a] - out.base.executed_work[a];
+  out.base.allotted = assigner.allotted();
   return out;
 }
 

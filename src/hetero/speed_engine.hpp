@@ -1,11 +1,12 @@
 #pragma once
-// Simulation engine for machines with per-processor speeds (see
+// Simulation for machines with per-processor speeds (see
 // speed_machine.hpp).  The scheduler remains count-based and speed-blind —
 // it decides how many alpha-processors each job gets, exactly as in the
 // base model; the SpeedAssignment policy then maps concrete processors to
 // jobs, and each job executes min(desire, sum of assigned speeds) ready
-// tasks.  With all speeds 1 this engine is step-for-step identical to
-// simulate().
+// tasks.  simulate_speeds is simulate() on a machine whose category
+// capacity is S_alpha, under a scheduler decorator that does that mapping;
+// with all speeds 1 it is simulate() step for step.
 
 #include "core/scheduler.hpp"
 #include "hetero/speed_machine.hpp"

@@ -9,14 +9,15 @@
 //     3. each job executes min(a, d) ready alpha-tasks (its selection policy
 //        chooses which); tasks enabled this step become ready at t + 1.
 //
-// Two interchangeable engines realise these semantics behind simulate()
-// (docs/SIMULATOR.md):
+// One loop (sim/engine.cpp, docs/SIMULATOR.md) realises these semantics in
+// two modes behind simulate():
 //   * kSparse (default) — event-driven: jumps directly from one
 //     allotment-changing instant to the next (release, subjob completion,
 //     RR re-quantum, fault/recovery, capacity change) and replays the
 //     frozen allotment across each steady window in bulk;
-//   * kDense — the literal step-per-unit-time loop, retained as the
-//     differential-testing oracle (tests/test_sparse_differential.cpp).
+//   * kDense — every window is one step: the literal step-per-unit-time
+//     mode, retained as the differential-testing oracle
+//     (tests/test_sparse_differential.cpp).
 // Both produce bit-identical results and traces; idle intervals are
 // skipped in O(1) by either.
 
@@ -29,11 +30,11 @@
 
 namespace krad {
 
-/// Which engine realises the model's semantics for this run.
+/// How the loop realises the model's semantics for this run.
 enum class EngineKind {
   /// Event-driven: coalesces steady windows, the production default.
   kSparse,
-  /// Literal unit-step loop: the differential-testing oracle.
+  /// One step per window: the differential-testing oracle.
   kDense,
 };
 
@@ -46,14 +47,12 @@ inline const char* to_string(EngineKind kind) {
 }
 
 struct SimOptions {
-  /// Engine selection.  Both engines are bit-identical in results and
-  /// traces (per-step work/desire/satisfied metric totals too); only the
-  /// decision-rate instruments differ, because the sparse engine honestly
+  /// Engine mode.  Both modes are bit-identical in results and traces
+  /// (per-step work/desire/satisfied metric totals too); only the
+  /// decision-rate instruments differ, because the sparse mode honestly
   /// invokes the scheduler fewer times (docs/OBSERVABILITY.md).  kDense is
   /// kept as the oracle for differential testing and costs O(makespan)
   /// even when nothing changes step to step.
-  /// decision_period != 1 always runs dense (the held-allotment machinery
-  /// is inherently per-step).
   EngineKind engine = EngineKind::kSparse;
   /// Record the full schedule chi and per-step matrices (memory-heavy).
   bool record_trace = false;
@@ -64,7 +63,10 @@ struct SimOptions {
   /// reuse the previous allotment in between, clamped to current desires —
   /// the real-system trade-off of amortising scheduling overhead against
   /// allocation staleness.  A decision is also forced whenever the active
-  /// set changes (release or completion).  Period 1 = the paper's model.
+  /// set changes (release or completion) or the capacity changes (fault
+  /// plan).  Period 1 = the paper's model.  Periods > 1 never coalesce
+  /// steps: the held allotment is re-clamped against fresh desires each
+  /// step.
   Time decision_period = 1;
   /// Optional fault plan (must outlive the run).  Capacity events degrade
   /// the machine mid-run: the scheduler is notified via set_capacity and

@@ -5,6 +5,7 @@
 
 #include "core/krad.hpp"
 #include "dag/builders.hpp"
+#include "fault/fault_plan.hpp"
 #include "jobs/profile_job.hpp"
 #include "sched/greedy_cp.hpp"
 #include "sim/engine.hpp"
@@ -271,6 +272,37 @@ TEST(Engine, DecisionForcedOnActiveSetChange) {
   options.decision_period = 1000;
   const SimResult result = simulate(set, sched, MachineConfig{{2}}, options);
   EXPECT_EQ(result.completion[1], 6);  // released at 5, runs at step 6
+}
+
+TEST(Engine, DecisionPeriodSurvivesCapacityDrop) {
+  // Two processors are lost at step 3, inside the first decision period.
+  // The held allotment was made for four; replaying it on two would
+  // over-allocate, so the capacity change forces a fresh decision.
+  FaultPlan plan;
+  plan.capacity_events.push_back(CapacityEvent{3, 0, -2});
+  const MachineConfig machine{{4}};
+  for (Time period : {1, 4}) {
+    JobSet set(1);
+    for (int i = 0; i < 2; ++i)
+      set.add(std::make_unique<DagJob>(map_reduce(8, 8, 0, 0, 1)));
+    KRad sched;
+    SimOptions options;
+    options.decision_period = period;
+    options.fault_plan = &plan;
+    options.record_trace = true;
+    const SimResult result = simulate(set, sched, machine, options);
+    if (period == 1) {
+      EXPECT_EQ(result.makespan, 15);
+    }
+    EXPECT_EQ(result.executed_work[0], 2 * set.job(0).total_work());
+    for (const StepRecord& step : result.trace->steps()) {
+      Work sum = 0;
+      for (std::size_t j = 0; j < step.active.size(); ++j)
+        sum += step.allot[j][0];
+      EXPECT_LE(sum, step.capacity[0])
+          << "period " << period << " step " << step.t;
+    }
+  }
 }
 
 TEST(Engine, InvalidDecisionPeriodRejected) {

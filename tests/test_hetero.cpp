@@ -4,12 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "core/krad.hpp"
 #include "dag/builders.hpp"
 #include "hetero/speed_engine.hpp"
 #include "sched/greedy_cp.hpp"
+#include "sched/kdeq_only.hpp"
+#include "sched/kequi.hpp"
 #include "jobs/profile_job.hpp"
 #include "sim/engine.hpp"
+#include "workload/arrivals.hpp"
 #include "workload/random_jobs.hpp"
 
 namespace krad {
@@ -194,6 +201,97 @@ TEST(SpeedEngine, ToStringNames) {
   EXPECT_STREQ(to_string(SpeedAssignment::kBlind), "speed-blind");
   EXPECT_STREQ(to_string(SpeedAssignment::kFastestToGreediest),
                "fastest-to-greediest");
+}
+
+// A seeded sweep pinned to one digest over every scalar and per-category
+// result the speed engine reports.  The digest was computed by the
+// original per-step speed loop, so this is a dense-oracle check of the
+// speed model running on the event-driven engine: 120 instances (profile
+// and DAG sets, batched and Poisson releases, 1-6 processors per category
+// at speeds 1-6) under four schedulers, one clairvoyant, and both
+// assignment policies.
+struct SpeedInstance {
+  SpeedMachineConfig machine;
+  JobSet set{1};
+};
+
+SpeedInstance build_speed_instance(std::uint64_t seed) {
+  SpeedInstance inst;
+  Rng rng(0xD1B54A32D192ED03ULL ^ (seed * 0x9E3779B97F4A7C15ULL + 5));
+  const auto k = static_cast<Category>(rng.uniform_int(1, 3));
+  for (Category a = 0; a < k; ++a) {
+    std::vector<int> speeds(static_cast<std::size_t>(rng.uniform_int(1, 6)));
+    for (int& s : speeds) s = static_cast<int>(rng.uniform_int(1, 6));
+    inst.machine.speeds.push_back(std::move(speeds));
+  }
+  const auto count = static_cast<std::size_t>(rng.uniform_int(2, 6));
+  if (rng.uniform_int(0, 1) == 0) {
+    RandomDagJobParams params;
+    params.num_categories = k;
+    params.min_size = 8;
+    params.max_size = 32;
+    inst.set = make_dag_job_set(params, count, rng);
+  } else {
+    RandomProfileJobParams params;
+    params.num_categories = k;
+    params.max_phases = 4;
+    params.max_phase_work = rng.uniform_int(0, 3) == 0 ? 2000 : 120;
+    params.max_parallelism = 12;
+    inst.set = make_profile_job_set(params, count, rng);
+  }
+  if (rng.uniform_int(0, 1) == 1) {
+    const double gap = static_cast<double>(rng.uniform_int(1, 20));
+    const std::vector<Time> releases =
+        poisson_releases(inst.set.size(), gap, rng);
+    for (JobId i = 0; i < inst.set.size(); ++i)
+      inst.set.set_release(i, releases[i]);
+  }
+  return inst;
+}
+
+std::unique_ptr<KScheduler> make_speed_sched(int which) {
+  switch (which) {
+    case 0: return std::make_unique<KRad>();
+    case 1: return std::make_unique<KEqui>();
+    case 2: return std::make_unique<KDeqOnly>();
+    default: return std::make_unique<GreedyCp>();
+  }
+}
+
+void mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= 0x100000001B3ULL;
+}
+
+TEST(SpeedEngine, SeededSweepMatchesPinnedDigest) {
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  int runs = 0;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    for (int which = 0; which < 4; ++which) {
+      for (SpeedAssignment assignment :
+           {SpeedAssignment::kBlind, SpeedAssignment::kFastestToGreediest}) {
+        SpeedInstance inst = build_speed_instance(seed);
+        const std::unique_ptr<KScheduler> sched = make_speed_sched(which);
+        const SpeedSimResult r =
+            simulate_speeds(inst.set, *sched, inst.machine, assignment);
+        const SimResult& b = r.base;
+        mix(digest, static_cast<std::uint64_t>(b.makespan));
+        for (Time c : b.completion) mix(digest, static_cast<std::uint64_t>(c));
+        mix(digest, static_cast<std::uint64_t>(b.busy_steps));
+        mix(digest, static_cast<std::uint64_t>(b.idle_steps));
+        mix(digest, static_cast<std::uint64_t>(b.total_response));
+        for (std::size_t a = 0; a < inst.machine.categories(); ++a) {
+          mix(digest, static_cast<std::uint64_t>(b.executed_work[a]));
+          mix(digest, static_cast<std::uint64_t>(b.allotted[a]));
+          mix(digest, static_cast<std::uint64_t>(r.wasted_speed[a]));
+          mix(digest, std::bit_cast<std::uint64_t>(b.utilization[a]));
+        }
+        ++runs;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 960);
+  EXPECT_EQ(digest, 0xC64CA6C7505AEF61ULL) << std::hex << digest;
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // instance is built twice from the same seed (DAG jobs are consumed by a
 // run), simulated once per engine with trace recording on, and compared
 // field by field: results, task events, fault events, and per-step records
-// must all be bit-identical.
+// must all be bit-identical.  Further suites cover the no-trace bulk path,
+// K-RAD's DEQ/RR step accounting, and decision periods.
 
 #include <gtest/gtest.h>
 
@@ -276,6 +277,80 @@ TEST(SparseDifferential, BulkPathScalarsMatchDense) {
     EXPECT_EQ(dense.retries, sparse.retries);
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+// K-RAD's per-category DEQ/RR step accounting is folded in by
+// note_steady_steps() when the sparse mode skips decisions; the totals must
+// still match the dense mode, which calls allot() every step.
+TEST(SparseDifferential, KRadStepAccountingMatchesDense) {
+  for (std::uint64_t seed = 0; seed < 256; ++seed) {
+    SCOPED_TRACE("instance seed " + std::to_string(seed));
+    Instance for_dense = build_instance(seed);
+    Instance for_sparse = build_instance(seed);
+    KRad dense_sched;
+    KRad sparse_sched;
+    SimOptions dense_opts;
+    dense_opts.engine = EngineKind::kDense;
+    dense_opts.max_steps = 2'000'000;
+    SimOptions sparse_opts = dense_opts;
+    sparse_opts.engine = EngineKind::kSparse;
+    if (for_dense.use_plan) {
+      dense_opts.fault_plan = &for_dense.plan;
+      sparse_opts.fault_plan = &for_sparse.plan;
+    }
+    simulate(for_dense.set, dense_sched, for_dense.machine, dense_opts);
+    simulate(for_sparse.set, sparse_sched, for_sparse.machine, sparse_opts);
+    for (Category a = 0; a < for_dense.machine.categories(); ++a) {
+      const Rad& d = dense_sched.rad(a);
+      const Rad& s = sparse_sched.rad(a);
+      EXPECT_EQ(d.deq_steps(), s.deq_steps()) << "category " << a;
+      EXPECT_EQ(d.rr_steps(), s.rr_steps()) << "category " << a;
+      EXPECT_EQ(d.deq_satisfied(), s.deq_satisfied()) << "category " << a;
+      EXPECT_EQ(d.deq_deprived(), s.deq_deprived()) << "category " << a;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+// Decision periods wrap the scheduler in a held-allotment decorator, which
+// never promises a horizon; both modes must still agree bit for bit,
+// including runs whose capacity changes inside a period (a forced
+// decision).
+TEST(SparseDifferential, DecisionPeriodsMatchDense) {
+  int with_capacity = 0;
+  int without_capacity = 0;
+  for (Time period : {2, 5}) {
+    for (std::uint64_t seed = 0; seed < 96; ++seed) {
+      SCOPED_TRACE("period " + std::to_string(period) + " seed " +
+                   std::to_string(seed));
+      Instance for_dense = build_instance(seed);
+      Instance for_sparse = build_instance(seed);
+      if (for_dense.plan.capacity_events.empty())
+        ++without_capacity;
+      else
+        ++with_capacity;
+      SimOptions options;
+      options.record_trace = true;
+      options.max_steps = 2'000'000;
+      options.decision_period = period;
+      SimOptions dense_opts = options;
+      dense_opts.engine = EngineKind::kDense;
+      SimOptions sparse_opts = options;
+      sparse_opts.engine = EngineKind::kSparse;
+      if (for_dense.use_plan) {
+        dense_opts.fault_plan = &for_dense.plan;
+        sparse_opts.fault_plan = &for_sparse.plan;
+      }
+      const SimResult dense = simulate(for_dense.set, *for_dense.sched,
+                                       for_dense.machine, dense_opts);
+      const SimResult sparse = simulate(for_sparse.set, *for_sparse.sched,
+                                        for_sparse.machine, sparse_opts);
+      expect_results_equal(dense, sparse);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(with_capacity, 0);
+  EXPECT_GT(without_capacity, 0);
 }
 
 }  // namespace
